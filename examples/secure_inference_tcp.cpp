@@ -52,7 +52,7 @@ void run_server(int id, std::shared_ptr<net::Channel> peer,
   auto pair = ml::build_secure_pair(model_config(ds));
   auto& model = id == 0 ? pair.m0 : pair.m1;
 
-  ml::SecureEnv env{&ctx, false, nullptr};
+  ml::SecureEnv env{&ctx, false};
   *pred_share_out = ml::secure_infer_batch(env, model, x_share);
   std::printf("[server%d] inference done (%zu x %zu prediction share)\n", id,
               pred_share_out->rows(), pred_share_out->cols());

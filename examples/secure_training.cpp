@@ -71,11 +71,10 @@ int main() {
   Timer online_timer;
   auto server = [&](mpc::PartyContext& ctx, ml::SecureSequential& model,
                     const MatrixF& x, const MatrixF& y) {
-    ml::SecureEnv env{&ctx, true, &ctx.engine()};
+    ml::SecureEnv env{&ctx, true};
     for (int e = 0; e < kEpochs; ++e) {
       ml::secure_train_batch(env, model, ml::LossKind::kMse, x, y, 0.02f);
     }
-    env.engine->wait_all();
   };
   std::thread s0([&] { server(ctx0, pair.m0, xs.s0, ys.s0); });
   std::thread s1([&] { server(ctx1, pair.m1, xs.s1, ys.s1); });

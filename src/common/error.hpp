@@ -60,7 +60,7 @@ class DeviceError : public Error {
   explicit DeviceError(const std::string& what) : Error(what) {}
 };
 
-// Use of a concurrency primitive (ThreadPool, AsyncLane) after it has been
+// Use of a concurrency primitive (ThreadPool, DepEngine) after it has been
 // stopped — e.g. submit() racing destruction. Always a lifecycle bug in the
 // caller, never data-dependent.
 class ShutdownError : public Error {

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "common/crash_point.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/taint.hpp"
-#include "ml/checkpoint.hpp"
+#include "ml/secure/party_state.hpp"
 #include "mpc/party.hpp"
 #include "mpc/triplet_io.hpp"
 
@@ -76,6 +74,33 @@ bool parse_ckpt_name(const std::string& name, const std::string& ext,
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+// PartyState <-> checkpoint mapping: the manifest carries the cursors and
+// the op counter, the SHRS section carries the share bytes.
+durable::Manifest manifest_for(const PartyState& st, std::uint64_t step,
+                               std::size_t n_batches) {
+  durable::Manifest m;
+  // Checkpoint id == global step number: both parties derive the same id
+  // from their identical SPMD position, no extra coordination.
+  m.commit_id = step;
+  m.epoch = step / n_batches;
+  m.step = step;
+  m.seq = st.seq;
+  m.matmul_cursor = st.cursors.matmul;
+  m.elem_cursor = st.cursors.elem;
+  m.act_cursor = st.cursors.act;
+  return m;
+}
+
+PartyState state_from(const CheckpointDir::Loaded& l) {
+  PartyState st;
+  st.shares = l.share_payload;
+  st.cursors.matmul = static_cast<std::size_t>(l.manifest.matmul_cursor);
+  st.cursors.elem = static_cast<std::size_t>(l.manifest.elem_cursor);
+  st.cursors.act = static_cast<std::size_t>(l.manifest.act_cursor);
+  st.seq = static_cast<std::uint32_t>(l.manifest.seq);
+  return st;
 }
 
 }  // namespace
@@ -325,18 +350,7 @@ ResumableStats secure_train_resumable(SecureEnv& env, SecureSequential& model,
   std::size_t start_step = 0;
   if (recovery != 0) {
     const CheckpointDir::Loaded l = cdir.load(recovery);
-    std::istringstream is(std::string(l.share_payload.begin(),
-                                      l.share_payload.end()),
-                          std::ios::binary);
-    load_share_snapshot(is, model);
-    mpc::TripletStore::Mark mark;
-    mark.matmul = static_cast<std::size_t>(l.manifest.matmul_cursor);
-    mark.elem = static_cast<std::size_t>(l.manifest.elem_cursor);
-    mark.act = static_cast<std::size_t>(l.manifest.act_cursor);
-    ctx.triplets().rewind(mark);
-    ctx.resync_seq(static_cast<std::uint32_t>(l.manifest.seq));
-    // Compression baselines never survive a restart; start dense.
-    ctx.compressed().reset_baselines();
+    state_from(l).restore(ctx, model);
     start_step = static_cast<std::size_t>(l.manifest.step);
     stats.resumed = true;
     PSML_INFO("resumable train: rejoining at checkpoint id "
@@ -358,31 +372,9 @@ ResumableStats secure_train_resumable(SecureEnv& env, SecureSequential& model,
     stats.steps_run += 1;
 
     if ((s + 1) % opts.checkpoint_every == 0 || s + 1 == total_steps) {
-      // Checkpoint id == global step number: both parties derive the same
-      // id from their identical SPMD position, no extra coordination.
-      durable::Manifest m;
-      m.commit_id = s + 1;
-      m.epoch = (s + 1) / n_batches;
-      m.step = s + 1;
-      m.seq = ctx.peek_seq();
-      // declassify(): Mark holds cursor *positions* — how many offline
-      // entries each deque has consumed — which both parties already know
-      // from their shared SPMD schedule. No share words flow through it
-      // (audited in docs/ANALYSIS.md §10).
-      const auto mark = psml::declassify(ctx.triplets().mark());
-      m.matmul_cursor = mark.matmul;
-      m.elem_cursor = mark.elem;
-      m.act_cursor = mark.act;
-
-      std::ostringstream os(std::ios::binary);
-      save_share_snapshot(os, model);
-      if (!os.good()) {
-        throw IOError("resumable train: snapshot serialization failure");
-      }
-      const std::string body = os.str();
-      std::vector<std::uint8_t> payload(body.begin(), body.end());
-
-      commit_checkpoint(ctx, cdir, m, payload, opts.ctrl_timeout);
+      const PartyState st = PartyState::capture(ctx, model);
+      commit_checkpoint(ctx, cdir, manifest_for(st, s + 1, n_batches),
+                        st.shares, opts.ctrl_timeout);
       cdir.prune_keep(opts.keep);
       stats.checkpoints += 1;
     }

@@ -35,10 +35,10 @@
 //  3. secure_train_resumable — the restart-and-rejoin driver. On entry it
 //     negotiates the recovery point with the peer (an exchange of committed
 //     id lists riding right above the transport's "PSMH" hello; the agreed
-//     point R is the newest id in both lists), reloads the R share
-//     snapshot, rewinds the TripletStore to R's cursors, resyncs the
-//     sequence counter and resets compression baselines, then trains from
-//     step R checkpointing every N steps. Both parties run the identical
+//     point R is the newest id in both lists), restores R's PartyState
+//     (party_state.hpp: shares, triplet cursors, sequence counter, fresh
+//     compression baselines), then trains from step R checkpointing every
+//     N steps. Both parties run the identical
 //     SPMD loop, so a fresh pair of processes pointed at their respective
 //     checkpoint directories rejoins exactly where the last mutual commit
 //     left off — and (compression off) replays to bit-identical final

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <sstream>
 #include <thread>
 
 #include "common/log.hpp"
-#include "ml/checkpoint.hpp"
+#include "ml/secure/party_state.hpp"
 #include "mpc/party.hpp"
-#include "pipeline/dep_engine.hpp"
 
 namespace psml::ml {
 
@@ -100,7 +98,7 @@ ResilientStats secure_train_batch_resilient(SecureEnv& env,
                                             const RetryPolicy& policy) {
   PSML_REQUIRE(env.ctx != nullptr, "resilient train: null party context");
   PSML_REQUIRE(policy.max_attempts >= 1, "resilient train: max_attempts < 1");
-  mpc::TripletStore& store = env.ctx->triplets();
+  const mpc::TripletStore& store = env.ctx->triplets();
   PSML_REQUIRE(store.retain() || store.recycle(),
                "resilient train: triplet store must be in retain or recycle "
                "mode so a failed step can rewind (see TripletStore)");
@@ -123,10 +121,9 @@ ResilientStats secure_train_batch_resilient(SecureEnv& env,
     }
   }
 
-  // Pre-step snapshot: parameter shares (local, no comms) + triplet cursors.
-  std::stringstream snapshot;
-  save_share_snapshot(snapshot, model);
-  const mpc::TripletStore::Mark mark = store.mark();
+  // Pre-step snapshot: parameter shares (local, no comms), triplet cursors
+  // and the op counter.
+  const PartyState pre_step = PartyState::capture(*env.ctx, model);
 
   for (int attempt = 0;; ++attempt) {
     stats.attempts = attempt + 1;
@@ -135,18 +132,7 @@ ResilientStats secure_train_batch_resilient(SecureEnv& env,
         // Recovery runs inside the try so a transport failure *during*
         // recovery (the engine flush or the resync exchange) also counts
         // against the attempt budget instead of escaping immediately.
-        // drain() (not wait_all()) — the failed attempt's stored error was
-        // already caught below; recovery must not re-raise it.
-        if (env.engine != nullptr) env.engine->drain();
-        snapshot.clear();
-        snapshot.seekg(0);
-        load_share_snapshot(snapshot, model);
-        store.rewind(mark);
-        // A failed attempt can advance a compression stream's send baseline
-        // past what the peer actually delivered; dropping all baselines
-        // forces the retry to start every stream dense. Both servers do
-        // this, keeping sender and receiver state consistent.
-        env.ctx->compressed().reset_baselines();
+        pre_step.restore(*env.ctx, model);
         stats.rollbacks += 1;
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
             backoff_ms(policy, attempt - 1)));
@@ -160,14 +146,10 @@ ResilientStats secure_train_batch_resilient(SecureEnv& env,
       // failed", and both are retryable. Anything else propagates.
       if (attempt + 1 >= policy.max_attempts) {
         // Leave the model at the pre-step snapshot so the caller resumes
-        // from a consistent state on both servers. drain() discards the
-        // engine's stored error so the original exception propagates.
-        if (env.engine != nullptr) env.engine->drain();
-        snapshot.clear();
-        snapshot.seekg(0);
-        load_share_snapshot(snapshot, model);
-        store.rewind(mark);
-        env.ctx->compressed().reset_baselines();
+        // from a consistent state on both servers. The restore's drain
+        // discards the engine's stored error so the original exception
+        // propagates.
+        pre_step.restore(*env.ctx, model);
         stats.rollbacks += 1;
         throw;
       }

@@ -72,37 +72,33 @@ MatrixF SecureDense::forward(SecureEnv& env, const MatrixF& x_i) {
   tag_f_dw_ = seq_tag(ctx, mpc::tags::kExchangeF);
   tag_e_dx_ = seq_tag(ctx, mpc::tags::kExchangeE);
 
-  if (env.engine != nullptr) {
-    // Fig. 6: the gradient-independent halves of the backward reconstruct
-    // become engine ops now, overlapping later layers' GPU operations. Each
-    // writes its result var plus the engine's comm var — the comm chain is
-    // what serializes all engine channel ops in push order, so both
-    // servers' message sequences stay aligned. Tags/keys were reserved
-    // above, on this thread, before the ops were pushed.
-    auto& eng = *env.engine;
-    auto* self = this;
-    auto* pctx = &ctx;
-    v_e_dw_ = eng.new_var("dense.e_dw");
-    v_f_dx_ = eng.new_var("dense.f_dx");
-    eng.push(
-        [self, pctx] {
-          self->early_e_dw_ = mpc::open_operand(
-              *pctx, tensor::transpose(self->x_cache_), self->t_dw_.u,
-              self->tag_e_dw_,
-              skey(*pctx, self->layer_id_, kPhaseBackward, 0));
-        },
-        {}, {v_e_dw_, eng.comm_var()}, pipeline::Exec::lane(),
-        "dense.open.e_dw");
-    eng.push(
-        [self, pctx] {
-          self->early_f_dx_ = mpc::open_operand(
-              *pctx, tensor::transpose(self->w_), self->t_dx_.v,
-              self->tag_f_dx_,
-              skey(*pctx, self->layer_id_, kPhaseBackward, 1));
-        },
-        {}, {v_f_dx_, eng.comm_var()}, pipeline::Exec::lane(),
-        "dense.open.f_dx");
-  }
+  // Fig. 6: the gradient-independent halves of the backward reconstruct
+  // become engine ops now, overlapping later layers' GPU operations when the
+  // pipeline is on. Each writes its result var plus the engine's comm var —
+  // the comm chain is what serializes all engine channel ops in push order,
+  // so both servers' message sequences stay aligned. Tags/keys were reserved
+  // above, on this thread, before the ops were pushed.
+  auto& eng = ctx.engine();
+  auto* self = this;
+  auto* pctx = &ctx;
+  v_e_dw_ = eng.new_var("dense.e_dw");
+  v_f_dx_ = eng.new_var("dense.f_dx");
+  eng.push(
+      [self, pctx] {
+        self->early_e_dw_ = mpc::open_operand(
+            *pctx, tensor::transpose(self->x_cache_), self->t_dw_.u,
+            self->tag_e_dw_, skey(*pctx, self->layer_id_, kPhaseBackward, 0));
+      },
+      {}, {v_e_dw_, eng.comm_var()}, ctx.staged_comm_exec(),
+      "dense.open.e_dw");
+  eng.push(
+      [self, pctx] {
+        self->early_f_dx_ = mpc::open_operand(
+            *pctx, tensor::transpose(self->w_), self->t_dx_.v,
+            self->tag_f_dx_, skey(*pctx, self->layer_id_, kPhaseBackward, 1));
+      },
+      {}, {v_f_dx_, eng.comm_var()}, ctx.staged_comm_exec(),
+      "dense.open.f_dx");
   return y;
 }
 
@@ -114,18 +110,11 @@ MatrixF SecureDense::backward(SecureEnv& env, const MatrixF& dy_i) {
   const MatrixF wt = tensor::transpose(w_);
 
   // dW = X^T x dY.
-  MatrixF e_dw;
-  if (env.engine != nullptr) {
-    env.engine->wait(v_e_dw_);
-    e_dw = std::move(early_e_dw_);
-  } else {
-    e_dw = mpc::open_operand(ctx, xt, t_dw_.u, tag_e_dw_,
-                             skey(ctx, layer_id_, kPhaseBackward, 0));
-  }
+  ctx.engine().wait(v_e_dw_);
   MatrixF f_dw = mpc::open_operand(ctx, dy_i, t_dw_.v, tag_f_dw_,
                                    skey(ctx, layer_id_, kPhaseBackward, 2));
-  dw_ = mpc::compute_ci(ctx, {std::move(e_dw), std::move(f_dw)}, xt, dy_i,
-                        t_dw_);
+  dw_ = mpc::compute_ci(ctx, {std::move(early_e_dw_), std::move(f_dw)}, xt,
+                        dy_i, t_dw_);
   // Keep weight-share magnitudes at the mask scale (see refresh_share docs).
   dw_ = mpc::refresh_share(ctx, dw_);
   // db = 1^T x dY: linear, local on shares (refreshed like dW — dY shares
@@ -141,16 +130,9 @@ MatrixF SecureDense::backward(SecureEnv& env, const MatrixF& dy_i) {
   // dX = dY x W^T.
   MatrixF e_dx = mpc::open_operand(ctx, dy_i, t_dx_.u, tag_e_dx_,
                                    skey(ctx, layer_id_, kPhaseBackward, 3));
-  MatrixF f_dx;
-  if (env.engine != nullptr) {
-    env.engine->wait(v_f_dx_);
-    f_dx = std::move(early_f_dx_);
-  } else {
-    f_dx = mpc::open_operand(ctx, wt, t_dx_.v, tag_f_dx_,
-                             skey(ctx, layer_id_, kPhaseBackward, 1));
-  }
-  return mpc::compute_ci(ctx, {std::move(e_dx), std::move(f_dx)}, dy_i, wt,
-                         t_dx_);
+  ctx.engine().wait(v_f_dx_);
+  return mpc::compute_ci(ctx, {std::move(e_dx), std::move(early_f_dx_)},
+                         dy_i, wt, t_dx_);
 }
 
 void SecureDense::update(float lr) {

@@ -5,8 +5,10 @@
 // two secure matmuls — dW = X^T x dY and dX = dY x W^T. The operands X^T and
 // W^T are known the moment forward() finishes, so their halves of the
 // reconstruct step (open X^T - U, open W^T - V) are pushed onto the party's
-// dependency engine *during the forward pass*, overlapping with the GPU
-// operations of later layers. Only the gradient-dependent halves remain in
+// dependency engine *during the forward pass*. With the pipeline on they
+// run on the engine's lane, overlapping with the GPU operations of later
+// layers; with it off they run inline at push (PartyContext::
+// staged_comm_exec). Only the gradient-dependent halves remain in
 // backward(), which waits on the staged ops' result vars.
 #pragma once
 
@@ -29,10 +31,10 @@ struct SecureEnv {
   // Inference runs forward-only: backward triplets are neither planned nor
   // consumed when this is false.
   bool training = true;
-  // Non-null enables the layer-level pipeline: layers emit staged open ops
-  // into this engine (normally the party's own, &ctx->engine()), and the
-  // trainer barriers it at step boundaries. Engine channel ops chain
-  // through comm_var(), keeping both servers' message sequences aligned.
+  // Read by no library code: layers, the step barrier and recovery always
+  // use ctx->engine(), and the party's pipeline option alone picks the
+  // schedule (PartyContext::staged_comm_exec). The field stays only because
+  // the bench/e2e harness names it.
   pipeline::DepEngine* engine = nullptr;
 };
 

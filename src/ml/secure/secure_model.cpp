@@ -101,17 +101,18 @@ void secure_train_batch(SecureEnv& env, SecureSequential& model,
   // Engine barrier at the step boundary: every staged op has completed (and
   // any op failure rethrows typed here) before parameters move, so the
   // snapshot-rewind recovery points stay well-defined.
-  if (env.engine != nullptr) env.engine->wait_all();
+  env.ctx->engine().wait_all();
   model.update(lr);
 }
 
 MatrixF secure_infer_batch(SecureEnv& env, SecureSequential& model,
                            const MatrixF& x_i) {
-  const bool was_training = env.training;
-  env.training = false;
-  MatrixF out = model.forward(env, x_i);
-  env.training = was_training;
-  return out;
+  // Forward-only on a copy: the caller's env keeps its mode on every exit,
+  // a throwing forward included, so its next training step still consumes
+  // the backward triplets.
+  SecureEnv infer = env;
+  infer.training = false;
+  return model.forward(infer, x_i);
 }
 
 }  // namespace psml::ml

@@ -1,7 +1,5 @@
 #include "mpc/party.hpp"
 
-#include "pipeline/dep_engine.hpp"
-
 namespace psml::mpc {
 
 PartyContext::PartyContext(int party_id, std::shared_ptr<net::Channel> peer,
@@ -25,15 +23,13 @@ PartyContext::PartyContext(int party_id, std::shared_ptr<net::Channel> peer,
   }
 }
 
-// Out-of-line so party.hpp only forward-declares DepEngine; the engine's
-// destructor drains any in-flight ops before the streams it dispatched onto
-// are torn down with the context.
-PartyContext::~PartyContext() = default;
+pipeline::Exec PartyContext::staged_comm_exec() const {
+  return opts_.use_pipeline ? pipeline::Exec::lane()
+                            : pipeline::Exec::inline_thread();
+}
 
-pipeline::DepEngine& PartyContext::engine() {
-  sync::MutexLock lock(engine_mutex_);
-  if (engine_ == nullptr) engine_ = std::make_unique<pipeline::DepEngine>();
-  return *engine_;
+sgpu::Stream& PartyContext::upload_stream() {
+  return opts_.use_pipeline ? copy_stream() : compute_stream();
 }
 
 }  // namespace psml::mpc

@@ -12,15 +12,11 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/sync_annot.hpp"
 #include "compress/compressed_channel.hpp"
 #include "mpc/triplet.hpp"
 #include "net/channel.hpp"
+#include "pipeline/dep_engine.hpp"
 #include "sgpu/device.hpp"
-
-namespace psml::pipeline {
-class DepEngine;
-}
 
 namespace psml::mpc {
 
@@ -28,7 +24,7 @@ namespace psml::mpc {
 // is `secureml_baseline()`.
 struct PartyOptions {
   bool use_gpu = true;          // online Eq. 8 on the device
-  bool use_pipeline = true;     // overlap H2D transfers with kernels (Fig. 5)
+  bool use_pipeline = true;     // Fig. 5/6 overlap; only PartyContext reads it
   bool use_tensor_core = true;  // FP16 fast-path GEMM (Sec. 5.2)
   bool use_compression = true;  // delta-CSR E/F exchange (Sec. 4.4)
   double compression_threshold = 0.75;  // min zero fraction for CSR deltas
@@ -64,7 +60,6 @@ class PartyContext {
   // `device` may be null when opts.use_gpu is false.
   PartyContext(int party_id, std::shared_ptr<net::Channel> peer,
                sgpu::Device* device, PartyOptions opts);
-  ~PartyContext();
 
   int id() const { return party_id_; }
   const PartyOptions& options() const { return opts_; }
@@ -84,13 +79,24 @@ class PartyContext {
   TripletStore& triplets() { return triplets_; }
   void set_triplets(TripletStore store) { triplets_ = std::move(store); }
 
-  // This party's dependency engine (pipeline/dep_engine.hpp), created on
-  // first use. The online phase pushes its op graphs here — device
-  // transfers/kernels onto the party's streams, staged opens onto the
-  // engine's comm lane — and barriers with wait_all()/drain() at step
-  // boundaries. One engine per party; its comm_var() chain is what keeps
-  // the two servers' message sequences aligned (see docs/ANALYSIS.md §12).
-  pipeline::DepEngine& engine();
+  // This party's dependency engine (pipeline/dep_engine.hpp). The online
+  // phase pushes its op graphs here — device transfers/kernels onto the
+  // party's streams, staged opens onto staged_comm_exec() — and barriers
+  // with wait_all()/drain() at step boundaries. One engine per party; its
+  // comm_var() chain is what keeps the two servers' message sequences
+  // aligned (see docs/ANALYSIS.md §12).
+  pipeline::DepEngine& engine() { return engine_; }
+
+  // The two places use_pipeline (the Fig. 5/6 ablation) changes the
+  // schedule; nothing else reads the flag. Both modes push the same graph.
+  //   staged_comm_exec(): executor for the comm ops layers stage during
+  //     forward — the engine's lane when on (the opens overlap later
+  //     layers), the pushing thread when off (each runs inline at push).
+  //   upload_stream(): stream for secure_matmul's H2D uploads — the copy
+  //     stream when on (uploads overlap kernels), the compute stream when
+  //     off (uploads and kernels run in line).
+  pipeline::Exec staged_comm_exec() const;
+  sgpu::Stream& upload_stream();
 
   // Per-op monotonically increasing sequence; both servers run the same op
   // sequence (SPMD), so their counters agree and form matching tags/keys.
@@ -119,11 +125,12 @@ class PartyContext {
   std::shared_ptr<sgpu::Stream> copy_stream_;
   std::shared_ptr<sgpu::Stream> compute_stream_;
   TripletStore triplets_;
-  sync::Mutex engine_mutex_;
-  std::unique_ptr<pipeline::DepEngine> engine_ PSML_GUARDED_BY(engine_mutex_);
   PartyOptions opts_;
   std::uint32_t seq_ = 0;
   std::uint64_t stream_salt_ = 0;
+  // Declared last so it is destroyed first: its destructor drains in-flight
+  // ops while the channel, endpoint and streams they use are still alive.
+  pipeline::DepEngine engine_;
 };
 
 // Tag bases for the protocol message families.

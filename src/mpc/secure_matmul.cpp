@@ -113,9 +113,9 @@ MatrixF compute_ci_cpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
 //   copy stream:    E | A_i | F        | B_i       | Z_i
 //   compute stream:         D=-iE+A_i  | C = D x F | C += E x B_i | C += Z_i
 // — emerges from the graph (uploads race ahead on the copy stream; each
-// kernel dispatches the moment its operands have landed). With use_pipeline
-// off both stream vars point at the compute stream and the same graph
-// degenerates to the serial schedule.
+// kernel dispatches the moment its operands have landed). With the pipeline
+// off, PartyContext::upload_stream() is the compute stream and the same
+// graph degenerates to the serial schedule.
 MatrixF compute_ci_gpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
                        const MatrixF& a_i, const MatrixF& b_i,
                        const MatrixF& z_i) {
@@ -130,7 +130,7 @@ MatrixF compute_ci_gpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
   const bool tc =
       o.use_tensor_core && flops >= static_cast<double>(1 << 24);
 
-  sgpu::Stream& copy = o.use_pipeline ? ctx.copy_stream() : ctx.compute_stream();
+  sgpu::Stream& copy = ctx.upload_stream();
   sgpu::Stream& comp = ctx.compute_stream();
 
   sgpu::DeviceMatrix de(dev, e.rows(), e.cols());

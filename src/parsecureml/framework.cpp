@@ -323,8 +323,7 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
     // The layer loop emits its op graphs into the party's dependency
     // engine; secure_train_batch barriers it every step, and the final
     // wait_all below covers inference-only runs.
-    ml::SecureEnv env{&ctx, training,
-                      opts.use_pipeline ? &ctx.engine() : nullptr};
+    ml::SecureEnv env{&ctx, training};
 
     for (std::size_t e = 0; e < cfg.epochs; ++e) {
       for (std::size_t b = 0; b < n_batches; ++b) {
@@ -352,7 +351,7 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
         }
       }
     }
-    if (env.engine != nullptr) env.engine->wait_all();
+    ctx.engine().wait_all();
   };
 
   Timer online;

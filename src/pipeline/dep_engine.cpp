@@ -23,7 +23,7 @@ struct OpNode {
   // Completion handoff count for cross-thread dispatch (kLane/kStream): the
   // executor's side and the dispatcher's return from the handoff call each
   // decrement once, and whoever reaches zero runs complete(). This keeps the
-  // op outstanding until the dispatcher is out of lane_->run()/enqueue() —
+  // op outstanding until the dispatcher is out of lane_.submit()/enqueue() —
   // without it, wait_all() could return (and the caller destroy the Stream
   // or the engine its lane) while the dispatching thread is still inside the
   // executor's condvar signal.
@@ -34,9 +34,7 @@ namespace {
 bool by_push_order(const OpNode* a, const OpNode* b) { return a->seq < b->seq; }
 }  // namespace
 
-DepEngine::DepEngine() : lane_(std::make_unique<AsyncLane>()) {
-  comm_var_ = new_var("engine.comm");
-}
+DepEngine::DepEngine() { comm_var_ = new_var("engine.comm"); }
 
 DepEngine::~DepEngine() {
   // Finish (or cancel-drain) everything in flight before the lane joins;
@@ -225,7 +223,8 @@ void DepEngine::dispatch_all(std::vector<OpNode*> ready) {
     switch (n->where.kind) {
       case Exec::Kind::kLane: {
         n->phase.store(2, std::memory_order_relaxed);
-        lane_->run([this, n] {
+        // Completion flows through finish(), never through the future.
+        (void)lane_.submit([this, n] {
           execute(n);
           finish(n);
         });

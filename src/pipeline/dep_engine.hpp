@@ -4,14 +4,14 @@
 // FIFO waiter queue per var and dispatches an op the moment every var it
 // names has been granted (concurrent readers, exclusive writers — the
 // mxnet engine discipline). Executors: the calling thread (kInline), an
-// engine-owned AsyncLane for blocking comm work (kLane), and sgpu Streams
-// for device work (kStream — the body enqueues async copies/kernels and the
-// engine plants a completion marker behind them, so cross-stream ordering
-// that used to be hand-rolled with Events now falls out of the var graph).
+// engine-owned one-worker ThreadPool for blocking comm work (kLane), and
+// sgpu Streams for device work (kStream — the body enqueues async
+// copies/kernels and the engine plants a completion marker behind them, so
+// cross-stream ordering that used to be hand-rolled with Events now falls
+// out of the var graph).
 //
-// Determinism contract (the invariant AsyncLane documents, lifted to
-// graphs): ops enter every var queue atomically at push(), in program
-// order, so conflicting ops are totally ordered by push order and
+// Determinism contract: ops enter every var queue atomically at push(), in
+// program order, so conflicting ops are totally ordered by push order and
 // non-conflicting ops commute. Channel ops additionally write comm_var(),
 // which chains them exclusively in program order — both servers push the
 // same op sequence (SPMD), hence their message sequences stay aligned no
@@ -24,10 +24,10 @@
 // graph drains without deadlock. wait()/wait_all() rethrow the stored
 // exception typed (NetworkError stays a NetworkError, so the resilient
 // trainer's retry loop keeps working); wait_all() clears it, drain()
-// discards it (the rollback paths of secure_train_batch_resilient flush
-// with drain() before restoring snapshots). A wait_all()/drain() at every
-// step boundary is the engine barrier that keeps the PR 3/PR 8
-// snapshot-rewind points well-defined.
+// discards it (ml::PartyState::restore, which every recovery path calls,
+// flushes with drain() before loading shares). A wait_all()/drain() at
+// every step boundary is the engine barrier that keeps the snapshot-rewind
+// points well-defined.
 #pragma once
 
 #include <atomic>
@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "common/sync_annot.hpp"
-#include "pipeline/async_lane.hpp"
+#include "common/thread_pool.hpp"
 #include "pipeline/op.hpp"
 
 namespace psml::pipeline {
@@ -143,11 +143,12 @@ class DepEngine {
   std::atomic<bool> failed_{false};
 
   VarHandle comm_var_;
-  // Single-worker ordered executor for kLane ops (reconstruct/open: CPU +
-  // network). One lane keeps blocking comm work off the pushing thread and
-  // the device streams; ordering across lane ops is still the var graph's
-  // job (comm ops chain through comm_var()).
-  std::unique_ptr<AsyncLane> lane_;
+  // Single-worker executor for kLane ops (reconstruct/open: CPU + network).
+  // One worker keeps blocking comm work off the pushing thread and the
+  // device streams; ordering across lane ops is still the var graph's job
+  // (comm ops chain through comm_var()). The engine tracks completion
+  // itself, so it discards the pool's futures.
+  ThreadPool lane_{1};
 };
 
 }  // namespace psml::pipeline

@@ -44,8 +44,9 @@ using VarHandle = std::shared_ptr<Var>;
 //   kInline — the thread that made the op ready (the pushing thread, or the
 //             thread that completed its last dependency). For CPU work that
 //             is cheap or already parallel inside (packed GEMM).
-//   kLane   — the engine's comm lane (a pipeline::AsyncLane): ordered,
-//             off-thread, may block on the network. Reconstruct/open ops.
+//   kLane   — the engine's comm lane (a one-worker psml::ThreadPool):
+//             ordered, off-thread, may block on the network. Reconstruct/open
+//             ops.
 //   kStream — the body runs inline but *enqueues* async device work on the
 //             given sgpu::Stream; the op completes when the stream reaches
 //             the end of that work (the engine plants a completion marker).

@@ -302,9 +302,12 @@ TEST(ResilientTraining, RecoversFromTransientBitFlip) {
 
   // One corrupted frame mid-forward: party 1 sees a CRC failure at once,
   // party 0 only notices when its recv deadline expires — recovery must
-  // bridge that asymmetry.
+  // bridge that asymmetry. Send 5 is the first activation's open (after
+  // layer 1's E/F pair, its two staged opens and the activation's two
+  // comparison products; pinned by ChaosPlanPositions in
+  // wire_order_test.cpp).
   auto chans = net::FaultInjectChannel::wrap_pair(
-      net::LocalChannel::make_pair(), net::FaultPlan::parse("flip@3"),
+      net::LocalChannel::make_pair(), net::FaultPlan::parse("flip@5"),
       net::FaultPlan{}, 99);
 
   ml::RetryPolicy pol;
@@ -319,14 +322,14 @@ TEST(ResilientTraining, RecoversFromTransientBitFlip) {
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
         ctx.triplets().set_retain(true);
-        ml::SecureEnv env{&ctx, true, nullptr};
+        ml::SecureEnv env{&ctx, true};
         s0 = ml::secure_train_batch_resilient(env, pair.m0, ml::LossKind::kMse,
                                               xs.s0, ys.s0, 0.25f, pol);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
         ctx.triplets().set_retain(true);
-        ml::SecureEnv env{&ctx, true, nullptr};
+        ml::SecureEnv env{&ctx, true};
         s1 = ml::secure_train_batch_resilient(env, pair.m1, ml::LossKind::kMse,
                                               xs.s1, ys.s1, 0.25f, pol);
       });
@@ -368,10 +371,11 @@ TEST(ResilientTraining, ExhaustedRetriesRethrowAndRollBack) {
   auto xs = mpc::share_float(ds.x, 88);
   auto ys = mpc::share_float(ds.y, 89);
 
-  // close@2 kills the transport for good: no amount of retries can succeed,
-  // so the policy must give up with the typed error after max_attempts.
+  // close@4 (the first activation's second comparison product) kills the
+  // transport for good: no amount of retries can succeed, so the policy
+  // must give up with the typed error after max_attempts.
   auto chans = net::FaultInjectChannel::wrap_pair(
-      net::LocalChannel::make_pair(), net::FaultPlan::parse("close@2"),
+      net::LocalChannel::make_pair(), net::FaultPlan::parse("close@4"),
       net::FaultPlan{}, 13);
 
   ml::RetryPolicy pol;
@@ -385,7 +389,7 @@ TEST(ResilientTraining, ExhaustedRetriesRethrowAndRollBack) {
                   mpc::TripletStore&& st) {
     ctx.set_triplets(std::move(st));
     ctx.triplets().set_retain(true);
-    ml::SecureEnv env{&ctx, true, nullptr};
+    ml::SecureEnv env{&ctx, true};
     ml::secure_train_batch_resilient(env, model, ml::LossKind::kMse, x, y,
                                      0.25f, pol);
   };

@@ -114,6 +114,22 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(counter.load(), 50);
 }
 
+TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
+  // The dependency engine's comm lane is a one-worker pool: its tasks run
+  // FIFO, one at a time.
+  ThreadPool pool(1);
+  std::vector<int> order;
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 64; ++i) {
+    // No lock: a single worker never runs two tasks at once (a tsan run
+    // would flag it if it did).
+    futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  }
+  for (auto& f : futs) f.wait();
+  ASSERT_EQ(order.size(), 64u);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);
+}
+
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);

@@ -1,10 +1,10 @@
 // Multi-threaded hammer tests for the concurrency primitives (ThreadPool,
-// AsyncLane, sgpu::Stream/Event, LocalChannel, TcpChannel).
+// DepEngine, sgpu::Stream/Event, LocalChannel, TcpChannel).
 //
 // These are the regression tests for the TSan-clean pass: each one drives a
 // primitive from several threads at once so that a reintroduced data race or
 // lock-order problem shows up under `ctest -L tsan` (thread-sanitizer
-// preset). They also pin down the documented shutdown semantics: submit/run
+// preset). They also pin down the documented shutdown semantics: submit
 // racing shutdown either completes or throws psml::ShutdownError — work is
 // never silently dropped.
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 #include "common/thread_pool.hpp"
 #include "net/local_channel.hpp"
 #include "net/tcp_channel.hpp"
-#include "pipeline/async_lane.hpp"
+#include "pipeline/dep_engine.hpp"
 #include "profile/adaptive.hpp"
 #include "sgpu/stream.hpp"
 
@@ -89,49 +89,30 @@ TEST(ThreadPoolHammer, ConcurrentParallelForCallsOnOnePool) {
   }
 }
 
-TEST(AsyncLaneHammer, DrainRacingRunNeverLosesTasks) {
-  pipeline::AsyncLane lane;
+TEST(DepEngineHammer, DrainRacingPushNeverLosesOps) {
+  // Barriers racing pushers: every op pushed is run exactly once, however
+  // the drains interleave, and a barrier after the pushers join covers all.
+  pipeline::DepEngine eng;
   std::atomic<int> ran{0};
   std::atomic<bool> go{true};
   std::vector<std::thread> producers;
   for (int t = 0; t < 2; ++t) {
     producers.emplace_back([&] {
-      for (int i = 0; i < 300; ++i) lane.run([&] { ran.fetch_add(1); });
+      auto v = eng.new_var("chain");
+      for (int i = 0; i < 300; ++i) {
+        eng.push([&] { ran.fetch_add(1); }, {}, {v}, pipeline::Exec::lane(),
+                 "n");
+      }
     });
   }
   std::thread drainer([&] {
-    while (go.load()) lane.drain();
+    while (go.load()) eng.drain();
   });
   for (auto& p : producers) p.join();
   go.store(false);
   drainer.join();
-  // All submissions happened-before this drain, so it covers them all.
-  lane.drain();
+  eng.wait_all();
   EXPECT_EQ(ran.load(), 2 * 300);
-}
-
-TEST(AsyncLaneHammer, RunRacingStopCompletesOrThrows) {
-  for (int round = 0; round < 5; ++round) {
-    pipeline::AsyncLane lane;
-    std::atomic<int> accepted{0}, ran{0};
-    std::vector<std::thread> producers;
-    for (int t = 0; t < 3; ++t) {
-      producers.emplace_back([&] {
-        for (int i = 0; i < 500; ++i) {
-          try {
-            lane.run([&] { ran.fetch_add(1); });
-            accepted.fetch_add(1);
-          } catch (const ShutdownError&) {
-          }
-        }
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    lane.stop();
-    for (auto& p : producers) p.join();
-    EXPECT_EQ(ran.load(), accepted.load());
-    EXPECT_THROW(lane.run([] {}), ShutdownError);
-  }
 }
 
 TEST(StreamHammer, EnqueueRacingSynchronize) {

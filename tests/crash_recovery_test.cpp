@@ -45,6 +45,8 @@ mpc::PartyOptions cpu_opts() {
   mpc::PartyOptions opts = mpc::PartyOptions::parsecureml();
   opts.use_gpu = false;
   opts.adaptive = false;
+  // Serial schedule: the staged backward opens run inline at push.
+  opts.use_pipeline = false;
   // Bit-identity across a restart requires the exact-value exchange path:
   // delta-CSR reconstruction is approximate by design.
   opts.use_compression = false;
@@ -158,7 +160,7 @@ PhaseResult run_phase(const std::string& dir0, const std::string& dir1,
     }
     ctx.set_triplets(std::move(st));
     ctx.triplets().set_retain(true);
-    ml::SecureEnv env{&ctx, true, nullptr};
+    ml::SecureEnv env{&ctx, true};
     const ml::ResumableStats stats = ml::secure_train_resumable(
         env, model, ml::LossKind::kMse, x_i, y_i, kBatch, kLr, kEpochs,
         durable_opts(dir));
@@ -398,7 +400,7 @@ TEST(CrashRecovery, ResilientNoTimeoutDetected) {
         ctx.peer().set_default_timeout(std::chrono::milliseconds(0));
         ctx.set_triplets(std::move(stores.first));
         ctx.triplets().set_retain(true);
-        ml::SecureEnv env{&ctx, true, nullptr};
+        ml::SecureEnv env{&ctx, true};
         s0 = ml::secure_train_batch_resilient(env, pair.m0, ml::LossKind::kMse,
                                               xs.s0, ys.s0, kLr, pol);
       },
@@ -406,7 +408,7 @@ TEST(CrashRecovery, ResilientNoTimeoutDetected) {
         ctx.peer().set_default_timeout(std::chrono::milliseconds(0));
         ctx.set_triplets(std::move(stores.second));
         ctx.triplets().set_retain(true);
-        ml::SecureEnv env{&ctx, true, nullptr};
+        ml::SecureEnv env{&ctx, true};
         s1 = ml::secure_train_batch_resilient(env, pair.m1, ml::LossKind::kMse,
                                               xs.s1, ys.s1, kLr, pol);
       });

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -27,6 +28,52 @@ TEST(DepEngine, InlineOpRunsToCompletion) {
   eng.wait(v);
   EXPECT_EQ(x, 7);
   EXPECT_EQ(eng.outstanding(), 0u);
+}
+
+TEST(DepEngine, LaneOpPublishesMoveOnlyResultThroughVar) {
+  // A lane op hands its result to the waiter through captured state; wait(v)
+  // publishes the write, and move-only values work.
+  DepEngine eng;
+  std::unique_ptr<int> out;
+  auto v = eng.new_var("out");
+  eng.push([&] { out = std::make_unique<int>(41 + 1); }, {}, {v},
+           Exec::lane(), "produce");
+  eng.wait(v);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(*out, 42);
+}
+
+TEST(DepEngine, LaneOpOverlapsWithPusher) {
+  // Lane work runs concurrently with the pushing thread: the elapsed time
+  // is close to max(lane, caller), not their sum.
+  DepEngine eng;
+  auto v = eng.new_var("sleep");
+  const auto t0 = std::chrono::steady_clock::now();
+  eng.push([] { std::this_thread::sleep_for(std::chrono::milliseconds(60)); },
+           {}, {v}, Exec::lane(), "sleep");
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  eng.wait_all();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            0.11);
+}
+
+TEST(DepEngine, DestructorDrainsInFlightLaneOps) {
+  std::atomic<int> done{0};
+  {
+    DepEngine eng;
+    for (int i = 0; i < 5; ++i) {
+      auto v = eng.new_var("v");
+      eng.push(
+          [&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            done.fetch_add(1);
+          },
+          {}, {v}, Exec::lane(), "slow");
+    }
+  }
+  EXPECT_EQ(done.load(), 5);
 }
 
 TEST(DepEngine, WritersOnOneVarRunInPushOrder) {

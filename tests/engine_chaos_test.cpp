@@ -32,7 +32,9 @@ mpc::PartyOptions cpu_opts() {
   mpc::PartyOptions opts = mpc::PartyOptions::parsecureml();
   opts.use_gpu = false;
   opts.adaptive = false;
-  opts.use_pipeline = false;
+  // Staged opens run on the engine's lane (CPU compute keeps the streams
+  // out of the picture).
+  opts.use_pipeline = true;
   return opts;
 }
 
@@ -112,20 +114,18 @@ TEST(EngineChaos, TrainingSurvivesInjectedDisconnect) {
       // subsequently sends redials; everything party 1 has pending resumes.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       tcp_client->inject_disconnect();
-      ml::SecureEnv env{&ctx0, true, &ctx0.engine()};
+      ml::SecureEnv env{&ctx0, true};
       ml::secure_train_batch(env, pair.m0, ml::LossKind::kMse, xs.s0, ys.s0,
                              0.25f);
-      env.engine->wait_all();
     } catch (...) {
       err0 = std::current_exception();
     }
   });
   std::thread t1([&] {
     try {
-      ml::SecureEnv env{&ctx1, true, &ctx1.engine()};
+      ml::SecureEnv env{&ctx1, true};
       ml::secure_train_batch(env, pair.m1, ml::LossKind::kMse, xs.s1, ys.s1,
                              0.25f);
-      env.engine->wait_all();
     } catch (...) {
       err1 = std::current_exception();
     }
@@ -183,7 +183,7 @@ TEST(EngineChaos, ResilientTrainingRecoversWithEngineScheduling) {
                    ml::ResilientStats& out) {
     ctx.set_triplets(std::move(st));
     ctx.triplets().set_retain(true);
-    ml::SecureEnv env{&ctx, true, &ctx.engine()};
+    ml::SecureEnv env{&ctx, true};
     out = ml::secure_train_batch_resilient(env, model, ml::LossKind::kMse, x,
                                            y, 0.25f, pol);
   };

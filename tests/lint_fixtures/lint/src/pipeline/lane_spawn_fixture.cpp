@@ -1,8 +1,8 @@
-// raw-thread-spawn clean twin: src/pipeline/ owns thread spawns (AsyncLane
-// workers are born here), so the spawn expression below must NOT be flagged
-// by raw-thread-spawn. naked-thread still fires — only async_lane.{hpp,cpp}
-// may mention the std::thread type — which pins down that the two rules
-// police different things (type usage vs. thread birth).
+// raw-thread-spawn clean twin: src/pipeline/ is a spawn owner (the
+// engine's executors live here), so the spawn expression below must NOT be
+// flagged by raw-thread-spawn. naked-thread still fires — no src/pipeline/
+// file may mention the std::thread type — which pins down that the two
+// rules police different things (type usage vs. thread birth).
 
 void spawn_lane_worker() {
   std::thread t([] { lane_loop(); });  // EXPECT: naked-thread

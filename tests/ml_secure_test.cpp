@@ -54,12 +54,12 @@ TEST(SecureDense, ForwardMatchesPlain) {
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, false, nullptr};
+        SecureEnv env{&ctx, false};
         y0 = l0.forward(env, xs.s0);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, false, nullptr};
+        SecureEnv env{&ctx, false};
         y1 = l1.forward(env, xs.s1);
       });
   expect_near(mpc::reconstruct_float(y0, y1), expected, 1e-2,
@@ -69,43 +69,62 @@ TEST(SecureDense, ForwardMatchesPlain) {
 // Full train-batch equivalence: run one SGD step securely and in plaintext
 // from identical weights; the reconstructed secure weights must match the
 // plaintext weights.
-class SecureVsPlain : public ::testing::TestWithParam<bool> {};
+constexpr std::size_t kStepBatch = 16;
 
-TEST_P(SecureVsPlain, OneSgdStepMatchesPlaintext) {
-  const bool pipeline = GetParam();
-  const std::size_t batch = 16;
-  const auto ds = data::make_dataset(data::DatasetKind::kMnist,
-                                     data::LabelScheme::kOneHot10, batch, 75);
+data::Dataset sgd_step_data() {
+  return data::make_dataset(data::DatasetKind::kMnist,
+                            data::LabelScheme::kOneHot10, kStepBatch, 75);
+}
+
+ModelConfig sgd_step_config(const data::Dataset& ds) {
   ModelConfig mc;
   mc.kind = ModelKind::kMlp;
   mc.input_dim = ds.geometry.features();
   mc.classes = 10;
   mc.seed = 76;
+  return mc;
+}
+
+// One secure SGD step of the MLP from the shared init, triplets and input
+// shares, in `opts`' execution mode. Returns the trained share pair.
+SecurePair secure_sgd_step(const mpc::PartyOptions& opts) {
+  const auto ds = sgd_step_data();
+  const ModelConfig mc = sgd_step_config(ds);
+  auto pair = build_secure_pair(mc);
+  std::vector<mpc::TripletSpec> plan;
+  pair.m0.plan_batch(plan, kStepBatch, LossKind::kMse, 10, true);
+  auto [st0, st1] = gen_stores(plan, 77);
+  auto xs = mpc::share_float(ds.x, 78);
+  auto ys = mpc::share_float(ds.y, 79);
+
+  run_parties(
+      opts,
+      [&](mpc::PartyContext& ctx) {
+        ctx.set_triplets(std::move(st0));
+        SecureEnv env{&ctx, true};
+        secure_train_batch(env, pair.m0, LossKind::kMse, xs.s0, ys.s0, 0.25f);
+      },
+      [&](mpc::PartyContext& ctx) {
+        ctx.set_triplets(std::move(st1));
+        SecureEnv env{&ctx, true};
+        secure_train_batch(env, pair.m1, LossKind::kMse, xs.s1, ys.s1, 0.25f);
+      });
+  return pair;
+}
+
+class SecureVsPlain : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SecureVsPlain, OneSgdStepMatchesPlaintext) {
+  const bool pipeline = GetParam();
+  const auto ds = sgd_step_data();
+  const ModelConfig mc = sgd_step_config(ds);
 
   // Plaintext step.
   auto plain = build_plain(mc);
   train_batch(plain, LossKind::kMse, ds.x, ds.y, 0.25f);
 
   // Secure step from the same init.
-  auto pair = build_secure_pair(mc);
-  std::vector<mpc::TripletSpec> plan;
-  pair.m0.plan_batch(plan, batch, LossKind::kMse, 10, true);
-  auto [st0, st1] = gen_stores(plan, 77);
-  auto xs = mpc::share_float(ds.x, 78);
-  auto ys = mpc::share_float(ds.y, 79);
-
-  run_parties(
-      cpu_opts(pipeline),
-      [&](mpc::PartyContext& ctx) {
-        ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, true, pipeline ? &ctx.engine() : nullptr};
-        secure_train_batch(env, pair.m0, LossKind::kMse, xs.s0, ys.s0, 0.25f);
-      },
-      [&](mpc::PartyContext& ctx) {
-        ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, true, pipeline ? &ctx.engine() : nullptr};
-        secure_train_batch(env, pair.m1, LossKind::kMse, xs.s1, ys.s1, 0.25f);
-      });
+  auto pair = secure_sgd_step(cpu_opts(pipeline));
 
   auto secure_as_plain = reconstruct_plain(mc, pair.m0, pair.m1);
   // Compare layer-by-layer weights. The activation-region mask can differ on
@@ -124,6 +143,57 @@ INSTANTIATE_TEST_SUITE_P(PipelineOnOff, SecureVsPlain, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "pipelined" : "serial";
                          });
+
+TEST(PipelineModes, SerialAndPipelinedStepsAreBitIdentical) {
+  // Both modes push the same op graph; only the executor of the staged
+  // opens differs (the engine's lane vs. inline at push). With deterministic
+  // refresh masks and exact (uncompressed) exchanges, the trained weights
+  // must therefore agree bit for bit, not merely within share noise.
+  auto opts = [](bool pipeline) {
+    mpc::PartyOptions o = cpu_opts(pipeline);
+    o.use_compression = false;
+    o.mask_seed = 0x5eed;
+    return o;
+  };
+  auto serial = secure_sgd_step(opts(false));
+  auto pipelined = secure_sgd_step(opts(true));
+
+  const ModelConfig mc = sgd_step_config(sgd_step_data());
+  auto serial_plain = reconstruct_plain(mc, serial.m0, serial.m1);
+  auto pipelined_plain = reconstruct_plain(mc, pipelined.m0, pipelined.m1);
+  std::size_t dense_layers = 0;
+  for (std::size_t i = 0; i < serial_plain.size(); ++i) {
+    auto* a = dynamic_cast<Dense*>(&serial_plain.layer(i));
+    if (a == nullptr) continue;
+    auto* b = dynamic_cast<Dense*>(&pipelined_plain.layer(i));
+    ASSERT_NE(b, nullptr);
+    ++dense_layers;
+    EXPECT_EQ(tensor::max_abs_diff(a->weights(), b->weights()), 0.0f)
+        << "layer " << i;
+    EXPECT_EQ(tensor::max_abs_diff(a->bias(), b->bias()), 0.0f)
+        << "layer " << i;
+  }
+  EXPECT_EQ(dense_layers, 3u);
+}
+
+TEST(SecureInference, ThrowingForwardRestoresTrainingFlag) {
+  // secure_infer_batch switches the env to forward-only for the call. A
+  // forward that throws (here: an input-width mismatch, caught before any
+  // message is sent) must still hand the caller back its training env, or
+  // the next training step would skip the backward triplets.
+  ModelConfig mc;
+  mc.kind = ModelKind::kMlp;
+  mc.input_dim = 20;
+  mc.classes = 10;
+  mc.seed = 101;
+  auto pair = build_secure_pair(mc);
+  auto chans = net::LocalChannel::make_pair();
+  mpc::PartyContext ctx(0, chans.a, nullptr, cpu_opts());
+  SecureEnv env{&ctx, true};
+  EXPECT_THROW(secure_infer_batch(env, pair.m0, random_matrix(4, 21, 102)),
+               InvalidArgument);
+  EXPECT_TRUE(env.training);
+}
 
 TEST(SecureTraining, MlpConvergesOnSeparableData) {
   const std::size_t n = 64;
@@ -149,7 +219,7 @@ TEST(SecureTraining, MlpConvergesOnSeparableData) {
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, true, nullptr};
+        SecureEnv env{&ctx, true};
         for (int e = 0; e < kEpochs; ++e) {
           secure_train_batch(env, pair.m0, LossKind::kMse, xs.s0, ys.s0,
                              0.05f);
@@ -157,7 +227,7 @@ TEST(SecureTraining, MlpConvergesOnSeparableData) {
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, true, nullptr};
+        SecureEnv env{&ctx, true};
         for (int e = 0; e < kEpochs; ++e) {
           secure_train_batch(env, pair.m1, LossKind::kMse, xs.s1, ys.s1,
                              0.05f);
@@ -195,7 +265,7 @@ TEST(SecureTraining, SvmHingeLossStep) {
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, true, nullptr};
+        SecureEnv env{&ctx, true};
         for (int e = 0; e < 3; ++e) {
           secure_train_batch(env, pair.m0, LossKind::kHinge, xs.s0, ys.s0,
                              0.3f);
@@ -203,7 +273,7 @@ TEST(SecureTraining, SvmHingeLossStep) {
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, true, nullptr};
+        SecureEnv env{&ctx, true};
         for (int e = 0; e < 3; ++e) {
           secure_train_batch(env, pair.m1, LossKind::kHinge, xs.s1, ys.s1,
                              0.3f);
@@ -245,12 +315,12 @@ TEST(SecureCnn, OneStepMatchesPlain) {
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, true, nullptr};
+        SecureEnv env{&ctx, true};
         secure_train_batch(env, pair.m0, LossKind::kMse, xs.s0, ys.s0, 0.2f);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, true, nullptr};
+        SecureEnv env{&ctx, true};
         secure_train_batch(env, pair.m1, LossKind::kMse, xs.s1, ys.s1, 0.2f);
       });
   auto trained = reconstruct_plain(mc, pair.m0, pair.m1);
@@ -295,12 +365,12 @@ TEST(SecureRnn, ForwardMatchesPlainRnn) {
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, false, nullptr};
+        SecureEnv env{&ctx, false};
         o0 = pair.m0->forward(env, xs0);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, false, nullptr};
+        SecureEnv env{&ctx, false};
         o1 = pair.m1->forward(env, xs1);
       });
   expect_near(mpc::reconstruct_float(o0, o1), expected, 5e-2,
@@ -346,7 +416,7 @@ TEST(SecureRnn, TrainingStepMatchesPlain) {
 
   auto step = [&](mpc::PartyContext& ctx, SecureRnn& rnn,
                   const std::vector<MatrixF>& xs, const MatrixF& yy) {
-    SecureEnv env{&ctx, true, nullptr};
+    SecureEnv env{&ctx, true};
     MatrixF p = rnn.forward(env, xs);
     MatrixF grad(p.rows(), p.cols());
     const float inv_n = 1.0f / static_cast<float>(p.rows());

@@ -3,6 +3,8 @@
 // Core, compression on/off) and the elementwise protocol.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mpc/secure_matmul.hpp"
 #include "mpc/secure_mul.hpp"
 #include "mpc/share.hpp"
@@ -26,6 +28,11 @@ struct ModeCase {
   const char* name;
   PartyOptions opts;
 };
+
+// gtest's default printer dumps the raw bytes, i.e. the address of `name`
+// (randomised per process) and the struct's padding, into the listed test
+// name; print the mode name so ctest's discovered names are stable.
+void PrintTo(const ModeCase& mode, std::ostream* os) { *os << mode.name; }
 
 std::vector<ModeCase> all_modes() {
   std::vector<ModeCase> modes;

@@ -21,9 +21,9 @@
 //                    src/parsecureml, src/compress). A debug print of a share
 //                    buffer is a secret leak.
 //   naked-thread     No std::thread construction outside the owned
-//                    concurrency primitives (common/thread_pool, pipeline/
-//                    async_lane, sgpu/stream, src/net). Ad-hoc threads dodge
-//                    the shutdown/exception discipline those wrappers provide.
+//                    concurrency primitives (common/thread_pool, sgpu/stream,
+//                    src/net). Ad-hoc threads dodge the shutdown/exception
+//                    discipline those wrappers provide.
 //
 // Diagnostics are file:line with a rule tag, plus optional SARIF 2.1.0
 // (--sarif FILE) for CI annotation upload. A violation can be suppressed by
@@ -365,8 +365,6 @@ void check_secret_logging(const std::string& path,
 bool thread_owner_file(const std::string& path) {
   return path_ends_with(path, "common/thread_pool.hpp") ||
          path_ends_with(path, "common/thread_pool.cpp") ||
-         path_ends_with(path, "pipeline/async_lane.hpp") ||
-         path_ends_with(path, "pipeline/async_lane.cpp") ||
          path_ends_with(path, "sgpu/stream.hpp") ||
          path_ends_with(path, "sgpu/stream.cpp") ||
          path_contains(path, "src/net/");
@@ -383,8 +381,8 @@ void check_naked_thread(const std::string& path,
     if (std::regex_search(clean[ln], re)) {
       out.push_back({path, ln + 1, "naked-thread",
                      "raw thread construction outside the owned concurrency "
-                     "primitives — use ThreadPool, AsyncLane, sgpu::Stream, "
-                     "or a channel backend so shutdown and exception "
+                     "primitives — use ThreadPool, sgpu::Stream, or a "
+                     "channel backend so shutdown and exception "
                      "propagation stay centralized"});
     }
   }
@@ -397,8 +395,8 @@ void check_naked_thread(const std::string& path,
 // the pooled executors the scheduler work depends on — common/thread_pool.*
 // and src/pipeline/. naked-thread polices where the std::thread type may
 // appear at all; this rule polices where new OS threads may be born, so
-// future server code is forced through ThreadPool/AsyncLane even in files
-// that legitimately mention the type.
+// future server code is forced through ThreadPool even in files that
+// legitimately mention the type.
 bool spawn_owner_file(const std::string& path) {
   return path_ends_with(path, "common/thread_pool.hpp") ||
          path_ends_with(path, "common/thread_pool.cpp") ||
@@ -419,9 +417,8 @@ void check_raw_thread_spawn(const std::string& path,
     if (std::regex_search(clean[ln], re)) {
       out.push_back({path, ln + 1, "raw-thread-spawn",
                      "direct thread spawn outside common/thread_pool and "
-                     "src/pipeline/ — submit work to ThreadPool or an "
-                     "AsyncLane so the pooled executors own every OS "
-                     "thread"});
+                     "src/pipeline/ — submit work to ThreadPool so the "
+                     "pooled executors own every OS thread"});
     }
   }
 }
