@@ -48,9 +48,9 @@ namespace seed {
 
 // The seed gemm_blocked inner kernel: cache-blocked ikj with a per-element
 // zero skip, no packing, no explicit SIMD.
-void gemm_rows(float alpha, const float* a, const float* b, float beta,
-               float* c, std::size_t r0, std::size_t r1, std::size_t n,
-               std::size_t k) {
+void gemm_ikj(float alpha, const float* a, const float* b, float beta,
+              float* c, std::size_t r0, std::size_t r1, std::size_t n,
+              std::size_t k) {
   constexpr std::size_t kKB = 256;
   constexpr std::size_t kJB = 512;
   for (std::size_t i = r0; i < r1; ++i) {
@@ -82,8 +82,8 @@ void gemm_rows(float alpha, const float* a, const float* b, float beta,
 }
 
 void gemm_blocked(const MatrixF& a, const MatrixF& b, MatrixF& c) {
-  gemm_rows(1.0f, a.data(), b.data(), 0.0f, c.data(), 0, a.rows(), b.cols(),
-            a.cols());
+  gemm_ikj(1.0f, a.data(), b.data(), 0.0f, c.data(), 0, a.rows(), b.cols(),
+           a.cols());
 }
 
 // The seed ring_matmul: blocked ikj with the zero skip.

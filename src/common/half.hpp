@@ -1,7 +1,8 @@
-// Software IEEE 754 binary16 ("half") used by the simulated Tensor Core GEMM
-// path (sgpu::gemm_tc). Storage is a 16-bit word; arithmetic is performed by
-// converting to float, exactly like hardware FP16 multiply with FP32
-// accumulate.
+// Software IEEE 754 binary16 ("half"): the operand rounding of the simulated
+// Tensor Core GEMM (tensor::round_to_half) on CPUs without F16C, and the
+// reference the tests hold the F16C path to. Storage is a 16-bit word;
+// arithmetic is performed by converting to float, exactly like hardware FP16
+// multiply with FP32 accumulate.
 #pragma once
 
 #include <bit>
@@ -72,18 +73,5 @@ inline float half_bits_to_float(std::uint16_t h) {
   }
   return std::bit_cast<float>(out);
 }
-
-// Value type wrapper; implicit conversions keep kernel code readable.
-struct half_t {
-  std::uint16_t bits = 0;
-
-  half_t() = default;
-  explicit half_t(float f) : bits(float_to_half_bits(f)) {}
-  explicit operator float() const { return half_bits_to_float(bits); }
-
-  friend bool operator==(half_t a, half_t b) { return a.bits == b.bits; }
-};
-
-static_assert(sizeof(half_t) == 2, "half_t must be 2 bytes");
 
 }  // namespace psml

@@ -25,7 +25,7 @@ namespace psml::mpc {
 struct PartyOptions {
   bool use_gpu = true;          // online Eq. 8 on the device
   bool use_pipeline = true;     // Fig. 5/6 overlap; only PartyContext reads it
-  bool use_tensor_core = true;  // FP16 fast-path GEMM (Sec. 5.2)
+  bool use_tensor_core = true;  // fp16-operand device GEMMs (Sec. 5.2)
   bool use_compression = true;  // delta-CSR E/F exchange (Sec. 4.4)
   double compression_threshold = 0.75;  // min zero fraction for CSR deltas
   bool fuse_eq8 = true;         // Eq. 8 fused form vs Eq. 6 three-product form

@@ -122,9 +122,10 @@ MatrixF compute_ci_gpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
   auto& dev = ctx.device();
   const auto& o = ctx.options();
   const float neg_i = -static_cast<float>(ctx.id());
-  // The fp16 path's win (halved operand traffic) only materializes on large
-  // GEMMs; below the crossover the quantization pass dominates (Fig. 15
-  // kernel sweep), so gate it by problem size.
+  // With use_tensor_core on, this gate decides which device GEMMs get fp16
+  // numerics: from 2^24 flops up they round both operands to binary16 and
+  // then run the f32 engine (k_gemm_tc); smaller ones run the f32 engine on
+  // the operands as given and so match the host bit for bit.
   const double flops =
       2.0 * static_cast<double>(a_i.rows()) * b_i.cols() * a_i.cols();
   const bool tc =

@@ -15,11 +15,12 @@
 // mutex — readers copy it, writers install a fully-built replacement, so no
 // torn model is ever observed.
 //
-// Kernel staleness: the CPU slope is only meaningful for the kernel it was
-// measured against. calibrate()/set_model() stamp the current
-// tensor::gemm_kernel_revision(); if the kernel selection changes afterwards
-// (tensor::set_gemm_isa), decide() treats the model as stale and falls back
-// to the static threshold until recalibrate() is run.
+// Kernel staleness: both slopes are only meaningful for the kernel they were
+// measured against (the device GEMM runs the host's packed engine on its own
+// pool, so one ISA selection governs both). calibrate()/set_model() stamp the
+// current tensor::gemm_kernel_revision(); if the kernel selection changes
+// afterwards (tensor::set_gemm_isa), decide() treats the model as stale and
+// falls back to the static threshold until recalibrate() is run.
 #pragma once
 
 #include <cstddef>

@@ -10,15 +10,18 @@ namespace psml::sgpu {
 
 class Device;
 
-// C = alpha * A(mxk) * B(kxn) + beta * C, row-major, FP32 ("cublasSgemm").
+// C = alpha * A(mxk) * B(kxn) + beta * C, row-major, FP32 ("cublasSgemm"):
+// the host's packed engine (tensor::gemm_rowmajor) on the device compute
+// pool, so the result is bitwise equal to tensor::gemm_parallel's.
 void k_gemm(Device& dev, const float* a, const float* b, float* c,
             std::size_t m, std::size_t n, std::size_t k, float alpha,
             float beta);
 
-// Tensor-Core-path GEMM ("cublasSgemmEx with CUBLAS_TENSOR_OP_MATH"):
-// operands are rounded to IEEE binary16, products accumulate in FP32. On
-// x86 this uses F16C hardware conversion; numerically it matches V100 Tensor
-// Core behaviour (fp16 multiply, fp32 accumulate).
+// Tensor-Core-path GEMM ("cublasSgemmEx with CUBLAS_TENSOR_OP_MATH"): each
+// operand is rounded once to IEEE binary16 precision (tensor::round_to_half),
+// then k_gemm runs on the rounded copies. A product of two binary16 values is
+// exact in FP32, so this is V100 Tensor Core numerics: fp16 multiply, fp32
+// accumulate.
 void k_gemm_tc(Device& dev, const float* a, const float* b, float* c,
                std::size_t m, std::size_t n, std::size_t k, float alpha,
                float beta);
@@ -42,8 +45,5 @@ void k_activation_piecewise_grad(Device& dev, const float* x, float* out,
 // Philox4x32-10 uniform fill ("curandGenerateUniform").
 void k_philox_uniform(Device& dev, float* out, std::size_t n, float lo,
                       float hi, std::uint64_t seed);
-
-// True when the Tensor-Core path uses hardware F16C conversion on this build.
-bool tensor_core_hw_f16c();
 
 }  // namespace psml::sgpu

@@ -52,7 +52,7 @@ DeviceMatrix to_device_async(Device& dev, Stream& stream, const MatrixF& src);
 
 // ---- async kernels ---------------------------------------------------------
 
-// C = alpha * A * B + beta * C. `tensor_core` selects the FP16 fast path.
+// C = alpha * A * B + beta * C. `tensor_core` rounds A and B to fp16 first.
 void gemm_async(Device& dev, Stream& stream, const DeviceMatrix& a,
                 const DeviceMatrix& b, DeviceMatrix& c, float alpha = 1.0f,
                 float beta = 0.0f, bool tensor_core = false);

@@ -34,7 +34,7 @@ bool resolve_simd() {
 // the gather, so there is no transpose copy.
 detail::GemmArgsF32 make_args(float alpha, const MatrixF& a, Trans ta,
                               const MatrixF& b, Trans tb, float beta,
-                              MatrixF& c, const GemmDims& d, bool parallel) {
+                              MatrixF& c, const GemmDims& d, ThreadPool* pool) {
   detail::GemmArgsF32 g;
   g.m = d.m;
   g.n = d.n;
@@ -59,7 +59,7 @@ detail::GemmArgsF32 make_args(float alpha, const MatrixF& a, Trans ta,
   }
   g.c = c.data();
   g.ldc = d.n;
-  g.parallel = parallel;
+  g.pool = pool;
   return g;
 }
 
@@ -105,16 +105,44 @@ void gemm_naive(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
 void gemm_blocked(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
                   Trans tb, float beta, MatrixF& c) {
   const GemmDims d = gemm_dims(a, ta, b, tb, c);
-  run_packed(make_args(alpha, a, ta, b, tb, beta, c, d, /*parallel=*/false));
+  run_packed(make_args(alpha, a, ta, b, tb, beta, c, d, /*pool=*/nullptr));
 }
 
 void gemm_parallel(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
                    Trans tb, float beta, MatrixF& c) {
   const GemmDims d = gemm_dims(a, ta, b, tb, c);
-  // Small problems: parallel launch overhead dominates. The serial engine is
-  // bit-identical, so the cutoff is invisible to results.
-  const bool parallel = d.m * d.n * d.k >= (std::size_t{1} << 18);
-  run_packed(make_args(alpha, a, ta, b, tb, beta, c, d, parallel));
+  run_packed(make_args(alpha, a, ta, b, tb, beta, c, d,
+                       detail::pool_if_worth(ThreadPool::global(), d.m, d.n,
+                                             d.k)));
+}
+
+void gemm_rowmajor(float alpha, const float* a, const float* b, float beta,
+                   float* c, std::size_t m, std::size_t n, std::size_t k,
+                   ThreadPool& pool) {
+  detail::GemmArgsF32 g;
+  g.m = m;
+  g.n = n;
+  g.k = k;
+  g.alpha = alpha;
+  g.beta = beta;
+  g.a = a;
+  g.a_rs = k;
+  g.a_cs = 1;
+  g.b = b;
+  g.b_rs = n;
+  g.b_cs = 1;
+  g.c = c;
+  g.ldc = n;
+  g.pool = detail::pool_if_worth(pool, m, n, k);
+  run_packed(g);
+}
+
+void round_to_half(const float* src, float* dst, std::size_t n) {
+  if (resolve_simd() && detail::cpu_has_f16c()) {
+    detail::round_half_f16c(src, dst, n);
+  } else {
+    detail::round_half_scalar(src, dst, n);
+  }
 }
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b) {

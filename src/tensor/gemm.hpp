@@ -9,18 +9,24 @@
 //   gemm_parallel — the same packed engine with the MCxNC tile grid
 //                   partitioned 2-D across the global thread pool; the CPU
 //                   side of the adaptive dispatcher.
+//   gemm_rowmajor — the same engine over raw row-major pointers on a pool the
+//                   caller names; the simulated device's GEMM kernels.
 //
 // Numeric contract (all tiers, see docs/ANALYSIS.md "Packed GEMM engine"):
 //   - no value-based work skipping: NaN/Inf anywhere in A or B propagates;
 //   - beta == 0 overwrites C (BLAS semantics), other betas multiply;
-//   - for a fixed tile plan, gemm_blocked and gemm_parallel are bit-identical
-//     at every thread count (each C element has one owner tile and a fixed
-//     k-block accumulation order).
+//   - for a fixed tile plan, gemm_blocked, gemm_parallel and gemm_rowmajor
+//     are bit-identical on every pool and at every thread count (each C
+//     element has one owner tile and a fixed k-block accumulation order).
 #pragma once
 
 #include <cstddef>
 
 #include "tensor/matrix.hpp"
+
+namespace psml {
+class ThreadPool;
+}
 
 namespace psml::tensor {
 
@@ -42,6 +48,22 @@ void gemm_blocked(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
 
 void gemm_parallel(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
                    Trans tb, float beta, MatrixF& c);
+
+// C(m,n) = alpha * A(m,k) x B(k,n) + beta * C over dense row-major raw
+// pointers: gemm_parallel's engine and tile plan, tiled across `pool` above
+// the same serial cutoff, so the bits equal gemm_parallel's on the same
+// operands whatever the pool.
+void gemm_rowmajor(float alpha, const float* a, const float* b, float beta,
+                   float* c, std::size_t m, std::size_t n, std::size_t k,
+                   ThreadPool& pool);
+
+// dst[i] = src[i] rounded to the nearest IEEE binary16 value (ties to even)
+// and widened back to f32; src == dst is allowed. This is the Tensor-Core
+// operand rounding: a product of two such values is exact in f32, so
+// rounding both operands and running gemm_rowmajor is fp16 multiply, fp32
+// accumulate. F16C when the SIMD kernels are selected and the CPU has it,
+// common/half.hpp otherwise; both give the same bits.
+void round_to_half(const float* src, float* dst, std::size_t n);
 
 // Convenience: C = A x B with a fresh output, parallel kernel.
 MatrixF matmul(const MatrixF& a, const MatrixF& b);

@@ -11,10 +11,11 @@
 //     zero-padded so the microkernel always runs full tiles;
 //   - a register-blocked microkernel contracts one MRxNR tile over kc;
 //   - the macro loop walks fixed MCxNC tiles of C. Parallelism is a 2-D
-//     partition of that tile grid; the per-element update order (k blocks in
-//     ascending order, one owner tile per C element) is therefore identical
-//     for every thread count, which makes f32 results bit-identical between
-//     gemm_blocked and gemm_parallel for a fixed tile plan.
+//     partition of that tile grid over whichever pool the caller passes; the
+//     per-element update order (k blocks in ascending order, one owner tile
+//     per C element) is therefore identical for every pool and thread count,
+//     which makes f32 results bit-identical between gemm_blocked,
+//     gemm_parallel and the simulated device's k_gemm for a fixed tile plan.
 //
 // Numeric semantics (shared with gemm_naive, documented in docs/ANALYSIS.md):
 //   - branch-free accumulation: there is no value-based work skipping, so
@@ -52,8 +53,18 @@ struct GemmArgs {
   std::size_t b_rs = 0, b_cs = 0;
   T* c = nullptr;
   std::size_t ldc = 0;
-  bool parallel = false;  // 2-D tile partition on the global thread pool
+  ThreadPool* pool = nullptr;  // 2-D tile partition on this pool; null = serial
 };
+
+// Below this much work (m * n * k) a pool launch costs more than it saves.
+// The serial engine is bit-identical, so the cutoff is invisible to results.
+inline constexpr std::size_t kParallelGemmWork = std::size_t{1} << 18;
+
+// `pool` when the problem clears kParallelGemmWork, null (serial) otherwise.
+inline ThreadPool* pool_if_worth(ThreadPool& pool, std::size_t m,
+                                 std::size_t n, std::size_t k) {
+  return m * n * k >= kParallelGemmWork ? &pool : nullptr;
+}
 
 using GemmArgsF32 = GemmArgs<float>;
 using GemmArgsU64 = GemmArgs<std::uint64_t>;
@@ -172,7 +183,10 @@ void scale_tile(T* c, std::size_t ldc, std::size_t mc, std::size_t nc, T beta) {
 
 // Runs tiles [t0, t1) of the MCxNC grid. `micro` has the signature of
 // micro_kernel_generic. Pack buffers are reused across the tiles of one call
-// (one call == one thread-pool chunk, or the whole grid single-threaded).
+// (one call == one thread-pool chunk, or the whole grid single-threaded) and
+// sized to the largest block this problem packs, not the full plan: every
+// pool thread that runs a chunk allocates them, and full-plan buffers on a
+// small GEMM are half a megabyte of zero-fill that the allocator then keeps.
 template <typename T, typename Micro>
 void run_tile_range(const GemmArgs<T>& g, std::size_t t0, std::size_t t1,
                     Micro micro) {
@@ -181,8 +195,11 @@ void run_tile_range(const GemmArgs<T>& g, std::size_t t0, std::size_t t1,
   constexpr std::size_t MC = Plan::MC, KC = Plan::KC, NC = Plan::NC;
   const std::size_t nbj = (g.n + NC - 1) / NC;
 
-  std::vector<T, AlignedAllocator<T>> apack(MC * KC);
-  std::vector<T, AlignedAllocator<T>> bpack(KC * NC);
+  const std::size_t kcap = g.k < KC ? g.k : KC;
+  const std::size_t mcap = g.m < MC ? (g.m + MR - 1) / MR * MR : MC;
+  const std::size_t ncap = g.n < NC ? (g.n + NR - 1) / NR * NR : NC;
+  std::vector<T, AlignedAllocator<T>> apack(mcap * kcap);
+  std::vector<T, AlignedAllocator<T>> bpack(kcap * ncap);
 
   for (std::size_t t = t0; t < t1; ++t) {
     const std::size_t ic = (t / nbj) * MC;
@@ -217,9 +234,9 @@ void run_tile_range(const GemmArgs<T>& g, std::size_t t0, std::size_t t1,
   }
 }
 
-// Full engine: partitions the MCxNC tile grid, serially or across the global
-// thread pool. Tiles own disjoint C regions and each runs its k loop
-// in-order, so serial and parallel execution produce identical bits.
+// Full engine: partitions the MCxNC tile grid, serially or across g.pool.
+// Tiles own disjoint C regions and each runs its k loop in-order, so serial
+// and parallel execution produce identical bits.
 template <typename T, typename Micro>
 void packed_gemm(const GemmArgs<T>& g, Micro micro) {
   using Plan = TilePlan<T>;
@@ -227,8 +244,8 @@ void packed_gemm(const GemmArgs<T>& g, Micro micro) {
   const std::size_t nbi = (g.m + Plan::MC - 1) / Plan::MC;
   const std::size_t nbj = (g.n + Plan::NC - 1) / Plan::NC;
   const std::size_t tiles = nbi * nbj;
-  if (g.parallel && tiles > 1) {
-    parallel_for(
+  if (g.pool != nullptr && tiles > 1) {
+    g.pool->parallel_for(
         0, tiles,
         [&g, micro](std::size_t lo, std::size_t hi) {
           run_tile_range<T>(g, lo, hi, micro);
@@ -251,6 +268,12 @@ void gemm_u64_simd(const GemmArgsU64& g);
 void gemm_u64_avx512(const GemmArgsU64& g);
 bool cpu_has_avx2_fma();
 bool cpu_has_avx512dq();
+// Binary16 rounding (nearest even, widened back to f32) behind
+// tensor::round_to_half: common/half.hpp in the scalar TU, F16C in the AVX2
+// TU (built with -mf16c; call it only when cpu_has_f16c() is true).
+void round_half_scalar(const float* src, float* dst, std::size_t n);
+void round_half_f16c(const float* src, float* dst, std::size_t n);
+bool cpu_has_f16c();
 
 // u64 entry honoring the process-wide GemmIsa selection (defined in gemm.cpp
 // next to the f32 dispatch); mpc::ring_matmul calls this.

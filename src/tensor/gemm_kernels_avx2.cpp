@@ -1,7 +1,7 @@
 // AVX2/FMA instantiation of the packed-GEMM engine. This TU (and only this
-// TU) is built with -mavx2 -mfma — see src/tensor/CMakeLists.txt — so
-// nothing here may run unless cpu_has_avx2_fma() reported true; gemm.cpp owns
-// that dispatch.
+// TU) is built with -mavx2 -mfma -mf16c — see src/tensor/CMakeLists.txt — so
+// nothing here may run unless cpu_has_avx2_fma() (and, for the binary16
+// rounding, cpu_has_f16c()) reported true; gemm.cpp owns that dispatch.
 //
 // f32 uses a hand-written 6x16 microkernel: 12 FMA accumulators + 2 B vectors
 // + 1 broadcast register, the classic 15-of-16 ymm budget. u64 reuses the
@@ -89,6 +89,30 @@ void gemm_u64_simd(const GemmArgsU64& g) {
 
 void gemm_f32_simd(const GemmArgsF32& g) { gemm_f32_scalar(g); }
 void gemm_u64_simd(const GemmArgsU64& g) { gemm_u64_scalar(g); }
+
+#endif
+
+#if defined(__F16C__)
+
+void round_half_f16c(const float* src, float* dst, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm256_cvtps_ph(_mm256_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
+    _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
+  }
+  for (; i < n; ++i) {
+    const __m128i h =
+        _mm_cvtps_ph(_mm_set_ss(src[i]), _MM_FROUND_TO_NEAREST_INT);
+    dst[i] = _mm_cvtss_f32(_mm_cvtph_ps(h));
+  }
+}
+
+#else  // no F16C codegen: the software rounding gives the same bits
+
+void round_half_f16c(const float* src, float* dst, std::size_t n) {
+  round_half_scalar(src, dst, n);
+}
 
 #endif
 

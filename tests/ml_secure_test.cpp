@@ -1,13 +1,17 @@
 // Secure ML stack tests: secure layers reconstruct to the plaintext
 // computation, secure training matches plaintext training, pipeline on/off
-// equivalence, secure RNN.
+// and device/host placement equivalence, secure RNN.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "data/datasets.hpp"
 #include "tensor/gemm.hpp"
+#include "ml/checkpoint.hpp"
 #include "ml/models.hpp"
 #include "ml/secure/secure_model.hpp"
 #include "ml/secure/secure_rnn.hpp"
+#include "mpc/triplet_io.hpp"
 #include "tensor/ops.hpp"
 #include "test_util.hpp"
 
@@ -174,6 +178,113 @@ TEST(PipelineModes, SerialAndPipelinedStepsAreBitIdentical) {
         << "layer " << i;
   }
   EXPECT_EQ(dense_layers, 3u);
+}
+
+// Trains `mc` for `steps` SGD steps on (x, y) from the shared init, one
+// dealer's triplets and fixed input shares, in `opts`' execution mode, and
+// returns the reconstructed model as checkpoint bytes: every parameter of
+// every layer, bit for bit.
+std::string train_to_checkpoint(const ModelConfig& mc, const MatrixF& x,
+                                const MatrixF& y,
+                                const mpc::PartyOptions& opts, int steps,
+                                float lr) {
+  auto pair = build_secure_pair(mc);
+  std::vector<mpc::TripletSpec> plan;
+  for (int s = 0; s < steps; ++s) {
+    pair.m0.plan_batch(plan, x.rows(), LossKind::kMse, mc.classes, true);
+  }
+  auto [st0, st1] = gen_stores(plan, 95);
+  auto xs = mpc::share_float(x, 96);
+  auto ys = mpc::share_float(y, 97);
+  run_parties(
+      opts,
+      [&](mpc::PartyContext& ctx) {
+        ctx.set_triplets(std::move(st0));
+        SecureEnv env{&ctx, true};
+        for (int s = 0; s < steps; ++s) {
+          secure_train_batch(env, pair.m0, LossKind::kMse, xs.s0, ys.s0, lr);
+        }
+      },
+      [&](mpc::PartyContext& ctx) {
+        ctx.set_triplets(std::move(st1));
+        SecureEnv env{&ctx, true};
+        for (int s = 0; s < steps; ++s) {
+          secure_train_batch(env, pair.m1, LossKind::kMse, xs.s1, ys.s1, lr);
+        }
+      });
+  auto trained = reconstruct_plain(mc, pair.m0, pair.m1);
+  std::ostringstream os;
+  save_model(os, trained);
+  return os.str();
+}
+
+// Exact modes only: deterministic refresh masks, uncompressed exchanges, and
+// f32 numerics on the device (no Tensor-Core rounding, no adaptive
+// placement), so the only difference is where each online GEMM runs.
+mpc::PartyOptions placement_opts(bool gpu) {
+  mpc::PartyOptions o = mpc::PartyOptions::parsecureml();
+  o.use_gpu = gpu;
+  o.use_tensor_core = false;
+  o.use_compression = false;
+  o.adaptive = false;
+  o.mask_seed = 0x91ace;
+  return o;
+}
+
+TEST(PlacementModes, DeviceAndHostStepsAreBitIdentical) {
+  // The device's f32 GEMM is the host engine on the device pool, and its
+  // axpby/add kernels round like the host's, so moving every online GEMM to
+  // the device must not change one bit of the trained model.
+  const auto ds = sgd_step_data();
+  const ModelConfig mlp = sgd_step_config(ds);
+  const std::string mlp_host =
+      train_to_checkpoint(mlp, ds.x, ds.y, placement_opts(false), 2, 0.25f);
+  const std::string mlp_device =
+      train_to_checkpoint(mlp, ds.x, ds.y, placement_opts(true), 2, 0.25f);
+  EXPECT_TRUE(mlp_host == mlp_device) << "MLP weights differ";
+
+  ModelConfig cnn;
+  cnn.kind = ModelKind::kCnn;
+  cnn.image_h = 10;
+  cnn.image_w = 10;
+  cnn.channels = 1;
+  cnn.input_dim = 100;
+  cnn.classes = 10;
+  cnn.seed = 98;
+  const std::size_t batch = 4;
+  const MatrixF x = random_matrix(batch, 100, 99, 0.0f, 1.0f);
+  MatrixF y(batch, 10, 0.0f);
+  for (std::size_t r = 0; r < batch; ++r) y(r, r % 10) = 1.0f;
+  const std::string cnn_host =
+      train_to_checkpoint(cnn, x, y, placement_opts(false), 2, 0.2f);
+  const std::string cnn_device =
+      train_to_checkpoint(cnn, x, y, placement_opts(true), 2, 0.2f);
+  EXPECT_TRUE(cnn_host == cnn_device) << "CNN weights differ";
+}
+
+TEST(PlacementModes, DealerStoresAreByteIdentical) {
+  // The offline twin: one seed and plan give the same triplet stores whether
+  // the dealer computes Z = U x V on the device or on the host. The MLP's
+  // first-layer triplets clear the dealer's 2^21-flop device gate, so the
+  // device path really runs.
+  const auto ds = sgd_step_data();
+  auto pair = build_secure_pair(sgd_step_config(ds));
+  std::vector<mpc::TripletSpec> plan;
+  pair.m0.plan_batch(plan, kStepBatch, LossKind::kMse, 10, true);
+  bool device_sized = false;
+  for (const auto& spec : plan) {
+    device_sized |= spec.kind == mpc::TripletKind::kMatMul &&
+                    2.0 * static_cast<double>(spec.m) * spec.k * spec.n >=
+                        static_cast<double>(1 << 21);
+  }
+  ASSERT_TRUE(device_sized);
+
+  mpc::TripletDealer host(nullptr, {false, false, 0xdea1});
+  mpc::TripletDealer device(&sgpu::Device::global(), {true, false, 0xdea1});
+  auto [h0, h1] = host.generate(plan);
+  auto [d0, d1] = device.generate(plan);
+  EXPECT_TRUE(mpc::encode_store(h0) == mpc::encode_store(d0));
+  EXPECT_TRUE(mpc::encode_store(h1) == mpc::encode_store(d1));
 }
 
 TEST(SecureInference, ThrowingForwardRestoresTrainingFlag) {

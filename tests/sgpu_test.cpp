@@ -1,9 +1,14 @@
 // Simulated-device tests: memory accounting, stream ordering, events,
-// copies, kernel correctness (gemm, gemm_tc, axpby, activation, philox),
-// transfer throttling, and the activity trace.
+// copies, kernel correctness (gemm bitwise equal to the host engine, gemm_tc,
+// axpby, activation, philox), transfer throttling, and the activity trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "common/half.hpp"
 #include "common/timer.hpp"
@@ -117,14 +122,25 @@ TEST(Device, CopyBoundsChecked) {
       InvalidArgument);
 }
 
+// The device's f32 GEMM is the host's packed engine on the device pool, so
+// its output must equal tensor::gemm_parallel's bit for bit, not merely
+// approximately.
+void expect_same_bits(const MatrixF& host, const MatrixF& device,
+                      const char* what) {
+  ASSERT_TRUE(host.same_shape(device)) << what;
+  EXPECT_EQ(std::memcmp(host.data(), device.data(), host.bytes()), 0) << what;
+}
+
 class DeviceGemm : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DeviceGemm, MatchesCpu) {
   const std::size_t n = GetParam();
   const MatrixF a = random_matrix(n, n + 5, 82);
   const MatrixF b = random_matrix(n + 5, n + 2, 83);
-  const MatrixF ref = tensor::matmul(a, b);
-  expect_near(ref, device_matmul(a, b), 1e-3 * n, "device gemm");
+  MatrixF ref(n, n + 2);
+  tensor::gemm_parallel(1.0f, a, tensor::Trans::kNo, b, tensor::Trans::kNo,
+                        0.0f, ref);
+  expect_same_bits(ref, device_matmul(a, b), "device gemm");
 }
 
 TEST_P(DeviceGemm, TensorCorePathApproximatesFp32) {
@@ -140,6 +156,63 @@ TEST_P(DeviceGemm, TensorCorePathApproximatesFp32) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DeviceGemm,
                          ::testing::Values(4, 17, 64, 128, 200));
+
+TEST(DeviceGemmBits, EdgeShapesAndBetaMatchHost) {
+  // Ragged edges of the 6x16 register tile and of the 72x256x512 cache
+  // blocks, several k blocks, beta 0 / 1 / other, and shapes on both sides
+  // of the m*n*k >= 2^18 serial cutoff with more than one tile, so the
+  // device pool actually splits the grid.
+  struct Shape {
+    std::size_t m, k, n;
+    float alpha, beta;
+  };
+  const Shape shapes[] = {
+      {6, 16, 16, 1.0f, 0.0f},    {7, 5, 17, 1.0f, 1.0f},
+      {13, 300, 35, 1.0f, 1.0f},  {73, 20, 515, 0.5f, 1.0f},
+      {80, 51, 64, 1.0f, 1.0f},   // 261120 < 2^18: serial
+      {80, 52, 64, 1.0f, 1.0f},   // 266240 >= 2^18: two tile rows on the pool
+      {150, 260, 40, -1.0f, 0.25f},
+  };
+  Device dev(small_config());
+  std::uint64_t seed = 400;
+  for (const Shape& sh : shapes) {
+    const MatrixF a = random_matrix(sh.m, sh.k, ++seed);
+    const MatrixF b = random_matrix(sh.k, sh.n, ++seed);
+    MatrixF host = random_matrix(sh.m, sh.n, ++seed);
+    MatrixF device = host;
+    tensor::gemm_parallel(sh.alpha, a, tensor::Trans::kNo, b,
+                          tensor::Trans::kNo, sh.beta, host);
+    k_gemm(dev, a.data(), b.data(), device.data(), sh.m, sh.n, sh.k, sh.alpha,
+           sh.beta);
+    const std::string what = std::to_string(sh.m) + "x" +
+                             std::to_string(sh.k) + "x" +
+                             std::to_string(sh.n) + " beta " +
+                             std::to_string(sh.beta);
+    expect_same_bits(host, device, what.c_str());
+  }
+}
+
+TEST(DeviceGemmBits, ZeroTimesNanOrInfPropagates) {
+  // 0 * NaN and 0 * Inf are NaN (IEEE 754). A row of zeros in A meeting NaN
+  // and Inf in B must poison every output it touches, on the device exactly
+  // as on the host; a kernel that skips zero terms returns 0 here.
+  for (const std::size_t n : {8u, 96u}) {  // serial and pool-split grids
+    MatrixF a = random_matrix(n, n, 500);
+    MatrixF b = random_matrix(n, n, 501);
+    for (std::size_t j = 0; j < n; ++j) a(0, j) = 0.0f;
+    b(0, 1) = std::numeric_limits<float>::quiet_NaN();
+    b(2, 3) = std::numeric_limits<float>::infinity();
+    MatrixF host(n, n);
+    tensor::gemm_parallel(1.0f, a, tensor::Trans::kNo, b, tensor::Trans::kNo,
+                          0.0f, host);
+    const MatrixF device = device_matmul(a, b);
+    EXPECT_TRUE(std::isnan(device(0, 1))) << n;
+    EXPECT_TRUE(std::isnan(device(0, 3))) << n;
+    EXPECT_TRUE(std::isnan(host(0, 1))) << n;
+    EXPECT_TRUE(std::isnan(host(0, 3))) << n;
+    expect_same_bits(host, device, "nan/inf propagation");
+  }
+}
 
 TEST(Kernels, GemmTcExactlyMatchesHalfReference) {
   // The TC path must equal an explicit fp16-quantize + fp32-accumulate
@@ -191,11 +264,16 @@ TEST(Kernels, ActivationPiecewise) {
 }
 
 TEST(Kernels, PhiloxKernelMatchesHostPhilox) {
+  // [-1, 1) alone cannot catch a fused multiply-add in the device kernel:
+  // lo + range * u rounds the same either way there. [-3, 5.5) does not.
   Device dev(small_config());
-  MatrixF dev_out(33, 17), host_out(33, 17);
-  k_philox_uniform(dev, dev_out.data(), dev_out.size(), -1.0f, 1.0f, 4242);
-  rng::philox_fill_uniform(host_out, -1.0f, 1.0f, 4242);
-  expect_near(dev_out, host_out, 0.0, "philox kernel");
+  for (const auto& [lo, hi] :
+       {std::pair{-1.0f, 1.0f}, std::pair{-3.0f, 5.5f}}) {
+    MatrixF dev_out(33, 17), host_out(33, 17);
+    k_philox_uniform(dev, dev_out.data(), dev_out.size(), lo, hi, 4242);
+    rng::philox_fill_uniform(host_out, lo, hi, 4242);
+    expect_same_bits(host_out, dev_out, "philox kernel");
+  }
 }
 
 TEST(Device, PipelineOverlapsCopiesAndCompute) {

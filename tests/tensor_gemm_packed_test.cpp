@@ -1,17 +1,23 @@
 // Packed-engine property tests: every forced ISA tier must agree with
 // gemm_naive across transposes, alpha/beta, ragged shapes, and non-finite
-// inputs — and the parallel engine must be bit-identical to the serial one.
+// inputs — and the parallel engine must be bit-identical to the serial one,
+// on any pool. The binary16 operand rounding of the Tensor-Core path must
+// give the same bits with F16C as in software.
 //
 // These pin the kernel-semantics bugs fixed in PR 4: the seed kernels
 // skipped `a == 0` terms (dropping 0 * NaN = NaN and 0 * Inf = NaN), and
 // beta == 0 semantics differed between tiers when C held garbage.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "common/half.hpp"
+#include "common/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "test_util.hpp"
 
@@ -180,6 +186,63 @@ TEST(GemmPacked, SerialAndParallelAreBitIdentical) {
           << isa_name(isa);
       ASSERT_EQ(0, std::memcmp(c_par.data(), c_par2.data(), c_par.bytes()))
           << isa_name(isa);
+    }
+  }
+}
+
+TEST(GemmPacked, RowMajorEntryMatchesParallelOnAnyPool) {
+  // gemm_rowmajor (the simulated device's GEMM) runs gemm_parallel's engine
+  // on a caller-named pool; the tile plan ignores the pool, so the bits must
+  // not depend on which pool or how many workers it has.
+  IsaGuard guard;
+  ThreadPool one(1), three(3);
+  for (GemmIsa isa : isas_under_test()) {
+    set_gemm_isa(isa);
+    const std::size_t m = 150, k = 300, n = 520;
+    const MatrixF a = random_matrix(m, k, 10);
+    const MatrixF b = random_matrix(k, n, 11);
+    const MatrixF c0 = random_matrix(m, n, 12);
+    MatrixF ref = c0;
+    gemm_parallel(0.5f, a, Trans::kNo, b, Trans::kNo, 1.0f, ref);
+    for (ThreadPool* pool : {&one, &three}) {
+      MatrixF got = c0;
+      gemm_rowmajor(0.5f, a.data(), b.data(), 1.0f, got.data(), m, n, k,
+                    *pool);
+      ASSERT_EQ(0, std::memcmp(ref.data(), got.data(), ref.bytes()))
+          << isa_name(isa) << " pool of " << pool->size();
+    }
+  }
+}
+
+TEST(GemmPacked, RoundToHalfF16cMatchesSoftware) {
+  // Round-to-nearest-even ties, the subnormal and overflow boundaries,
+  // signed zeros, infinities, and a sweep over the whole f32 bit space;
+  // 2^16 + 3 values, so the F16C path also runs its scalar tail.
+  std::vector<float> src = {
+      0.0f, -0.0f, 1.0f + 0x1p-11f, 1.0f + 3 * 0x1p-11f, 65504.0f, 65519.0f,
+      65520.0f, -65520.0f, 0x1p-24f, 0x1p-25f, 3 * 0x1p-25f, 0x1p-26f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min()};
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
+       bits += 65537) {
+    src.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  IsaGuard guard;
+  for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAuto}) {
+    set_gemm_isa(isa);
+    std::vector<float> got(src.size());
+    round_to_half(src.data(), got.data(), src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      const float want = half_bits_to_float(float_to_half_bits(src[i]));
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got[i])) << i;
+      } else {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(want),
+                  std::bit_cast<std::uint32_t>(got[i]))
+            << (isa == GemmIsa::kScalar ? "scalar" : "auto") << " at " << i
+            << " src " << src[i];
+      }
     }
   }
 }
