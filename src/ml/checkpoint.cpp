@@ -65,6 +65,7 @@ LayerTag tag_of(Layer& layer) {
     return LayerTag::kPiecewise;
   }
   if (dynamic_cast<ReLU*>(&layer) != nullptr) return LayerTag::kRelu;
+  if (dynamic_cast<RnnLayer*>(&layer) != nullptr) return LayerTag::kRnn;
   throw InvalidArgument("checkpoint: unknown layer type");
 }
 
@@ -86,12 +87,9 @@ void save_model(std::ostream& os, Sequential& model) {
   for (std::size_t i = 0; i < model.size(); ++i) {
     Layer& layer = model.layer(i);
     write_u32(os, static_cast<std::uint32_t>(tag_of(layer)));
-    if (auto* d = dynamic_cast<Dense*>(&layer)) {
-      write_matrix(os, d->weights());
-      write_matrix(os, d->bias());
-    } else if (auto* c = dynamic_cast<Conv2D*>(&layer)) {
-      write_matrix(os, c->weights());
-    }
+    std::vector<MatrixF*> params;
+    layer.collect_state(params);
+    for (const MatrixF* m : params) write_matrix(os, *m);
   }
 }
 
@@ -103,33 +101,10 @@ void load_model(std::istream& is, Sequential& model) {
     Layer& layer = model.layer(i);
     const auto tag = static_cast<LayerTag>(read_u32(is));
     PSML_REQUIRE(tag == tag_of(layer), "checkpoint: layer kind mismatch");
-    if (auto* d = dynamic_cast<Dense*>(&layer)) {
-      read_matrix_into(is, d->weights(), "dense weights");
-      read_matrix_into(is, d->bias(), "dense bias");
-    } else if (auto* c = dynamic_cast<Conv2D*>(&layer)) {
-      read_matrix_into(is, c->weights(), "conv weights");
-    }
+    std::vector<MatrixF*> params;
+    layer.collect_state(params);
+    for (MatrixF* m : params) read_matrix_into(is, *m, "layer parameter");
   }
-}
-
-void save_model(std::ostream& os, const RnnModel& model) {
-  write_u32(os, kMagic);
-  write_u32(os, kVersion);
-  write_u32(os, 1);  // one "layer"
-  write_u32(os, static_cast<std::uint32_t>(LayerTag::kRnn));
-  write_matrix(os, model.wx());
-  write_matrix(os, model.wh());
-  write_matrix(os, model.wo());
-}
-
-void load_model(std::istream& is, RnnModel& model) {
-  check_header(is);
-  PSML_REQUIRE(read_u32(is) == 1, "checkpoint: not an RNN checkpoint");
-  PSML_REQUIRE(static_cast<LayerTag>(read_u32(is)) == LayerTag::kRnn,
-               "checkpoint: not an RNN checkpoint");
-  read_matrix_into(is, model.wx(), "wx");
-  read_matrix_into(is, model.wh(), "wh");
-  read_matrix_into(is, model.wo(), "wo");
 }
 
 namespace {
@@ -141,8 +116,9 @@ namespace {
 // InvalidArgument (stream-level contract unchanged).
 constexpr std::uint32_t kModelSection = durable::section_tag("MODL");
 
-template <typename Model>
-void save_to_path(const std::string& path, Model& model) {
+}  // namespace
+
+void save_model(const std::string& path, Sequential& model) {
   std::ostringstream os(std::ios::binary);
   save_model(os, model);
   if (!os.good()) {
@@ -155,20 +131,13 @@ void save_to_path(const std::string& path, Model& model) {
   durable::write_sections(path, {std::move(s)});
 }
 
-template <typename Model>
-void load_from_path(const std::string& path, Model& model) {
+void load_model(const std::string& path, Sequential& model) {
   const std::vector<durable::Section> sections = durable::load_sections(path);
   const durable::Section& s =
       durable::find_section(sections, kModelSection, "model checkpoint");
   std::istringstream is(
       std::string(s.payload.begin(), s.payload.end()), std::ios::binary);
   load_model(is, model);
-}
-
-}  // namespace
-
-void save_model(const std::string& path, Sequential& model) {
-  save_to_path(path, model);
 }
 
 namespace {
@@ -194,15 +163,6 @@ void load_share_snapshot(std::istream& is, SecureSequential& model) {
   const std::uint32_t count = read_u32(is);
   PSML_REQUIRE(count == state.size(), "share snapshot: state count mismatch");
   for (MatrixF* m : state) read_matrix_into(is, *m, "share snapshot matrix");
-}
-void save_model(const std::string& path, const RnnModel& model) {
-  save_to_path(path, model);
-}
-void load_model(const std::string& path, Sequential& model) {
-  load_from_path(path, model);
-}
-void load_model(const std::string& path, RnnModel& model) {
-  load_from_path(path, model);
 }
 
 }  // namespace psml::ml

@@ -1,7 +1,8 @@
 // Model checkpointing: save/load trained weights to a portable binary file.
 //
 // Stream format: magic | version | layer count | per layer {kind tag,
-// matrices}. Covers Sequential (Dense/Conv2D/activations) and RnnModel. The
+// parameter matrices in Layer::collect_state order}. Covers every
+// Sequential layer (Dense/Conv2D/RnnLayer/activations). The
 // secure world reuses this through reconstruct_plain: reconstruct, save; and
 // a saved plaintext model can be re-shared with mpc::share_float to resume
 // secure training.
@@ -18,23 +19,18 @@
 #include <string>
 
 #include "ml/plain/model.hpp"
-#include "ml/plain/rnn.hpp"
 
 namespace psml::ml {
 
 void save_model(const std::string& path, Sequential& model);
-void save_model(const std::string& path, const RnnModel& model);
 
 // Loads weights into an already-built model with the identical architecture;
 // throws InvalidArgument on any mismatch (layer count, kinds, shapes).
 void load_model(const std::string& path, Sequential& model);
-void load_model(const std::string& path, RnnModel& model);
 
 // Stream variants (unit-testable without the filesystem).
 void save_model(std::ostream& os, Sequential& model);
 void load_model(std::istream& is, Sequential& model);
-void save_model(std::ostream& os, const RnnModel& model);
-void load_model(std::istream& is, RnnModel& model);
 
 class SecureSequential;
 

@@ -60,16 +60,15 @@ std::vector<DenseSpec> dense_specs(const ModelConfig& cfg,
     case ModelKind::kSvm:
       return {{first_in, cfg.classes, false}};
     case ModelKind::kRnn:
-      break;
+      // The RNN layer ends in its own output product.
+      return {};
   }
-  throw InvalidArgument("dense_specs: RNN is built by build_plain_rnn");
+  throw InvalidArgument("dense_specs: unknown model kind");
 }
 
 }  // namespace
 
 Sequential build_plain(const ModelConfig& cfg) {
-  PSML_REQUIRE(cfg.kind != ModelKind::kRnn,
-               "build_plain: use build_plain_rnn for RNN");
   Sequential model;
   std::size_t first_in = cfg.input_dim;
   std::uint64_t seed = cfg.seed;
@@ -81,6 +80,11 @@ Sequential build_plain(const ModelConfig& cfg) {
     model.add(std::make_unique<Conv2D>(shape, cfg.engine, seed++));
     model.add(std::make_unique<PiecewiseActivation>());
     first_in = shape.out_c * shape.out_h() * shape.out_w();
+  } else if (cfg.kind == ModelKind::kRnn) {
+    // First, since the RNN layer computes no input gradient.
+    model.add(std::make_unique<RnnLayer>(cfg.input_dim, cfg.rnn_hidden,
+                                         cfg.classes, cfg.rnn_steps,
+                                         cfg.engine, seed));
   }
 
   for (const auto& spec : dense_specs(cfg, first_in)) {
@@ -92,13 +96,7 @@ Sequential build_plain(const ModelConfig& cfg) {
   return model;
 }
 
-RnnModel build_plain_rnn(const ModelConfig& cfg) {
-  return RnnModel(cfg.input_dim, cfg.rnn_hidden, cfg.classes, cfg.seed);
-}
-
 SecurePair build_secure_pair(const ModelConfig& cfg) {
-  PSML_REQUIRE(cfg.kind != ModelKind::kRnn,
-               "build_secure_pair: use build_secure_rnn_pair for RNN");
   SecurePair pair;
   std::size_t first_in = cfg.input_dim;
   std::uint64_t seed = cfg.seed;
@@ -123,6 +121,17 @@ SecurePair build_secure_pair(const ModelConfig& cfg) {
     pair.m1.add(std::make_unique<SecureConv2D>(shape, std::move(shares.s1)));
     first_in = shape.out_c * shape.out_h() * shape.out_w();
     add_activation(first_in);
+  } else if (cfg.kind == ModelKind::kRnn) {
+    MatrixF wx = xavier_init(cfg.input_dim, cfg.rnn_hidden, seed);
+    MatrixF wh = xavier_init(cfg.rnn_hidden, cfg.rnn_hidden, seed + 1);
+    MatrixF wo = xavier_init(cfg.rnn_hidden, cfg.classes, seed + 2);
+    auto sx = mpc::share_float(wx, cfg.seed ^ 0xA11CE);
+    auto sh = mpc::share_float(wh, cfg.seed ^ 0xB0B);
+    auto so = mpc::share_float(wo, cfg.seed ^ 0xCAFE);
+    pair.m0.add(std::make_unique<SecureRnnLayer>(
+        cfg.rnn_steps, std::move(sx.s0), std::move(sh.s0), std::move(so.s0)));
+    pair.m1.add(std::make_unique<SecureRnnLayer>(
+        cfg.rnn_steps, std::move(sx.s1), std::move(sh.s1), std::move(so.s1)));
   }
 
   for (const auto& spec : dense_specs(cfg, first_in)) {
@@ -139,48 +148,17 @@ SecurePair build_secure_pair(const ModelConfig& cfg) {
   return pair;
 }
 
-SecureRnnPair build_secure_rnn_pair(const ModelConfig& cfg) {
-  MatrixF wx = xavier_init(cfg.input_dim, cfg.rnn_hidden, cfg.seed);
-  MatrixF wh = xavier_init(cfg.rnn_hidden, cfg.rnn_hidden, cfg.seed + 1);
-  MatrixF wo = xavier_init(cfg.rnn_hidden, cfg.classes, cfg.seed + 2);
-  auto sx = mpc::share_float(wx, cfg.seed ^ 0xA11CE);
-  auto sh = mpc::share_float(wh, cfg.seed ^ 0xB0B);
-  auto so = mpc::share_float(wo, cfg.seed ^ 0xCAFE);
-  SecureRnnPair pair;
-  pair.m0 = std::make_unique<SecureRnn>(std::move(sx.s0), std::move(sh.s0),
-                                        std::move(so.s0));
-  pair.m1 = std::make_unique<SecureRnn>(std::move(sx.s1), std::move(sh.s1),
-                                        std::move(so.s1));
-  return pair;
-}
-
 Sequential reconstruct_plain(const ModelConfig& cfg, SecureSequential& m0,
                              SecureSequential& m1) {
   Sequential plain = build_plain(cfg);
-  PSML_CHECK(plain.size() == m0.size() && plain.size() == m1.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    if (auto* d = dynamic_cast<Dense*>(&plain.layer(i))) {
-      auto& s0 = dynamic_cast<SecureDense&>(m0.layer(i));
-      auto& s1 = dynamic_cast<SecureDense&>(m1.layer(i));
-      d->weights() = mpc::reconstruct_float(s0.weight_share(),
-                                            s1.weight_share());
-      d->bias() = mpc::reconstruct_float(s0.bias_share(), s1.bias_share());
-    } else if (auto* c = dynamic_cast<Conv2D*>(&plain.layer(i))) {
-      auto& s0 = dynamic_cast<SecureConv2D&>(m0.layer(i));
-      auto& s1 = dynamic_cast<SecureConv2D&>(m1.layer(i));
-      c->weights() = mpc::reconstruct_float(s0.weight_share(),
-                                            s1.weight_share());
-    }
+  const std::vector<MatrixF*> params = plain.collect_state();
+  const std::vector<MatrixF*> s0 = m0.collect_state();
+  const std::vector<MatrixF*> s1 = m1.collect_state();
+  PSML_CHECK(params.size() == s0.size() && params.size() == s1.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    PSML_CHECK(params[i]->same_shape(*s0[i]));
+    *params[i] = mpc::reconstruct_float(*s0[i], *s1[i]);
   }
-  return plain;
-}
-
-RnnModel reconstruct_plain_rnn(const ModelConfig& cfg, const SecureRnn& m0,
-                               const SecureRnn& m1) {
-  RnnModel plain = build_plain_rnn(cfg);
-  plain.wx() = mpc::reconstruct_float(m0.wx_share(), m1.wx_share());
-  plain.wh() = mpc::reconstruct_float(m0.wh_share(), m1.wh_share());
-  plain.wo() = mpc::reconstruct_float(m0.wo_share(), m1.wo_share());
   return plain;
 }
 

@@ -3,13 +3,10 @@
 // secure (two-share) build with identical initial weights.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "ml/plain/model.hpp"
-#include "ml/plain/rnn.hpp"
 #include "ml/secure/secure_model.hpp"
-#include "ml/secure/secure_rnn.hpp"
 
 namespace psml::ml {
 
@@ -20,7 +17,8 @@ LossKind loss_for(ModelKind kind);
 
 struct ModelConfig {
   ModelKind kind = ModelKind::kMlp;
-  // Flattened input feature count (non-CNN models).
+  // Flattened input feature count; for the RNN, the features of one
+  // timestep (a row holds rnn_steps of them).
   std::size_t input_dim = 0;
   // Image geometry (CNN only); input_dim must equal channels * h * w.
   std::size_t image_h = 0, image_w = 0, channels = 1;
@@ -35,9 +33,8 @@ struct ModelConfig {
   std::size_t output_dim() const { return classes; }
 };
 
-// Plaintext build (all kinds except kRnn; see build_plain_rnn).
+// Plaintext build. The RNN is a one-layer model (ml::RnnLayer).
 Sequential build_plain(const ModelConfig& cfg);
-RnnModel build_plain_rnn(const ModelConfig& cfg);
 
 // Secure build: two SecureSequential instances holding the two additive
 // shares of the same initial weights build_plain(cfg) produces.
@@ -46,17 +43,10 @@ struct SecurePair {
 };
 SecurePair build_secure_pair(const ModelConfig& cfg);
 
-struct SecureRnnPair {
-  std::unique_ptr<SecureRnn> m0, m1;
-};
-SecureRnnPair build_secure_rnn_pair(const ModelConfig& cfg);
-
 // Reconstructs trained weights from the two secure halves into a plaintext
 // model with cfg's architecture (used for post-training evaluation).
 Sequential reconstruct_plain(const ModelConfig& cfg, SecureSequential& m0,
                              SecureSequential& m1);
-RnnModel reconstruct_plain_rnn(const ModelConfig& cfg, const SecureRnn& m0,
-                               const SecureRnn& m1);
 
 // The convolution geometry the CNN builder uses for a given config.
 tensor::ConvShape cnn_conv_shape(const ModelConfig& cfg);

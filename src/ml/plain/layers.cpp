@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "data/datasets.hpp"
 #include "rng/rng.hpp"
 #include "sgpu/ops.hpp"
 #include "tensor/gemm.hpp"
@@ -168,6 +169,63 @@ MatrixF Conv2D::backward(const MatrixF& dy) {
 void Conv2D::update(float lr) {
   tensor::axpy(-lr, dw_, w_);
   dw_.fill(0.0f);
+}
+
+// ---- RnnLayer ---------------------------------------------------------------
+
+RnnLayer::RnnLayer(std::size_t in, std::size_t hidden, std::size_t out,
+                   std::size_t steps, Engine engine, std::uint64_t seed)
+    : steps_(steps),
+      wx_(xavier_init(in, hidden, seed)),
+      wh_(xavier_init(hidden, hidden, seed + 1)),
+      wo_(xavier_init(hidden, out, seed + 2)),
+      dwx_(in, hidden, 0.0f),
+      dwh_(hidden, hidden, 0.0f),
+      dwo_(hidden, out, 0.0f),
+      acts_(steps),
+      engine_(engine) {}
+
+MatrixF RnnLayer::forward(const MatrixF& x) {
+  PSML_REQUIRE(x.cols() == steps_ * wx_.rows(), "RNN: input width mismatch");
+  xs_cache_ = data::sequence_view(x, steps_);
+  h_cache_.assign(1, MatrixF(x.rows(), wh_.rows(), 0.0f));
+  for (std::size_t t = 0; t < steps_; ++t) {
+    MatrixF z;
+    tensor::add(engine_matmul(engine_, xs_cache_[t], wx_),
+                engine_matmul(engine_, h_cache_.back(), wh_), z);
+    h_cache_.push_back(acts_[t].forward(z));
+  }
+  return engine_matmul(engine_, h_cache_.back(), wo_);
+}
+
+MatrixF RnnLayer::backward(const MatrixF& dy) {
+  // dW_o += h_T^T x dY ; dh_T = dY x W_o^T
+  tensor::add(dwo_, engine_matmul(engine_, tensor::transpose(h_cache_.back()),
+                                  dy),
+              dwo_);
+  MatrixF dh = engine_matmul(engine_, dy, tensor::transpose(wo_));
+  for (std::size_t t = steps_; t-- > 0;) {
+    // dz = dh .* f'(z_t) ; dW_x += x_t^T dz ; dW_h += h_{t-1}^T dz ;
+    // dh = dz W_h^T
+    const MatrixF dz = acts_[t].backward(dh);
+    tensor::add(dwx_, engine_matmul(engine_, tensor::transpose(xs_cache_[t]),
+                                    dz),
+                dwx_);
+    tensor::add(dwh_, engine_matmul(engine_, tensor::transpose(h_cache_[t]),
+                                    dz),
+                dwh_);
+    dh = engine_matmul(engine_, dz, tensor::transpose(wh_));
+  }
+  return MatrixF();
+}
+
+void RnnLayer::update(float lr) {
+  tensor::axpy(-lr, dwx_, wx_);
+  tensor::axpy(-lr, dwh_, wh_);
+  tensor::axpy(-lr, dwo_, wo_);
+  dwx_.fill(0.0f);
+  dwh_.fill(0.0f);
+  dwo_.fill(0.0f);
 }
 
 }  // namespace psml::ml

@@ -38,6 +38,11 @@ class Layer {
   virtual void update(float lr) {}
 
   virtual std::size_t out_features(std::size_t in_features) const = 0;
+
+  // Appends pointers to this layer's parameters in a fixed order — the
+  // order SecureLayer::collect_state lists the matching shares in and the
+  // order a checkpoint stores them in. Stateless layers contribute nothing.
+  virtual void collect_state(std::vector<MatrixF*>& out) {}
 };
 
 // Fully connected layer with bias. The bias matters here more than in a
@@ -58,6 +63,11 @@ class Dense : public Layer {
   MatrixF& weights() { return w_; }
   const MatrixF& bias() const { return b_; }
   MatrixF& bias() { return b_; }
+
+  void collect_state(std::vector<MatrixF*>& out) override {
+    out.push_back(&w_);
+    out.push_back(&b_);
+  }
 
  private:
   MatrixF w_;   // in x out
@@ -106,12 +116,54 @@ class Conv2D : public Layer {
   const MatrixF& weights() const { return w_; }
   MatrixF& weights() { return w_; }
 
+  void collect_state(std::vector<MatrixF*>& out) override {
+    out.push_back(&w_);
+  }
+
  private:
   tensor::ConvShape shape_;
   MatrixF w_;
   MatrixF dw_;
   MatrixF patches_cache_;
   std::size_t batch_cache_ = 0;
+  Engine engine_;
+};
+
+// Elman RNN with full backpropagation through time:
+//   h_t = f(x_t W_x + h_{t-1} W_h),   o = h_T W_o
+// with f the Eq. 9 piecewise activation. Each input row holds a whole
+// sequence, `steps` chunks of `in` features (data::sequence_view); the
+// output is batch x out. backward() computes no input gradient and returns
+// an empty matrix, so the layer must come first in its model.
+class RnnLayer : public Layer {
+ public:
+  RnnLayer(std::size_t in, std::size_t hidden, std::size_t out,
+           std::size_t steps, Engine engine, std::uint64_t seed = 44);
+
+  MatrixF forward(const MatrixF& x) override;
+  MatrixF backward(const MatrixF& dy) override;
+  void update(float lr) override;
+  std::size_t out_features(std::size_t) const override { return wo_.cols(); }
+
+  const MatrixF& wx() const { return wx_; }
+  const MatrixF& wh() const { return wh_; }
+  const MatrixF& wo() const { return wo_; }
+
+  void collect_state(std::vector<MatrixF*>& out) override {
+    out.push_back(&wx_);
+    out.push_back(&wh_);
+    out.push_back(&wo_);
+  }
+
+ private:
+  std::size_t steps_;
+  MatrixF wx_;  // in x hidden
+  MatrixF wh_;  // hidden x hidden
+  MatrixF wo_;  // hidden x out
+  MatrixF dwx_, dwh_, dwo_;
+  std::vector<MatrixF> xs_cache_;
+  std::vector<MatrixF> h_cache_;  // h_0 .. h_T (h_0 = zeros)
+  std::vector<PiecewiseActivation> acts_;  // one per step, holds its mask
   Engine engine_;
 };
 

@@ -24,6 +24,12 @@ void Sequential::update(float lr) {
   for (auto& l : layers_) l->update(lr);
 }
 
+std::vector<MatrixF*> Sequential::collect_state() {
+  std::vector<MatrixF*> out;
+  for (auto& l : layers_) l->collect_state(out);
+  return out;
+}
+
 LossResult compute_loss(LossKind kind, const MatrixF& pred,
                         const MatrixF& target) {
   PSML_REQUIRE(pred.same_shape(target), "loss: shape mismatch");

@@ -27,6 +27,10 @@ class Sequential {
   MatrixF backward(const MatrixF& dloss);
   void update(float lr);
 
+  // Pointers to every layer's parameters, in model order: the list a
+  // checkpoint stores and SecureSequential::collect_state mirrors.
+  std::vector<MatrixF*> collect_state();
+
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };

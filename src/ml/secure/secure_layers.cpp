@@ -1,6 +1,7 @@
 #include "ml/secure/secure_layers.hpp"
 
 #include "compress/compressed_channel.hpp"
+#include "data/datasets.hpp"
 #include "tensor/ops.hpp"
 
 namespace psml::ml {
@@ -247,6 +248,112 @@ MatrixF SecureConv2D::backward(SecureEnv& env, const MatrixF& dy_i) {
 void SecureConv2D::update(float lr) {
   tensor::axpy(-lr, dw_, w_);
   dw_.fill(0.0f);
+}
+
+// ---- SecureRnnLayer ---------------------------------------------------------
+
+SecureRnnLayer::SecureRnnLayer(std::size_t steps, MatrixF wx_share,
+                               MatrixF wh_share, MatrixF wo_share)
+    : steps_(steps),
+      wx_(std::move(wx_share)),
+      wh_(std::move(wh_share)),
+      wo_(std::move(wo_share)),
+      dwx_(wx_.rows(), wx_.cols(), 0.0f),
+      dwh_(wh_.rows(), wh_.cols(), 0.0f),
+      dwo_(wo_.rows(), wo_.cols(), 0.0f) {
+  // key() packs (steps << 2 | operand) into a 16-bit operand field.
+  PSML_REQUIRE(steps_ > 0 && steps_ < 0x4000u,
+               "SecureRnnLayer: steps out of range");
+}
+
+std::uint64_t SecureRnnLayer::key(const mpc::PartyContext& ctx,
+                                  std::uint32_t phase, std::size_t t,
+                                  std::uint32_t operand) const {
+  return skey(ctx, layer_id_, phase,
+              static_cast<std::uint32_t>(t << 2) | operand);
+}
+
+void SecureRnnLayer::plan(std::vector<mpc::TripletSpec>& specs,
+                          std::size_t batch, bool training) const {
+  const std::size_t in = wx_.rows();
+  const std::size_t hid = wh_.rows();
+  const std::size_t out = wo_.cols();
+  for (std::size_t t = 0; t < steps_; ++t) {
+    specs.push_back({mpc::TripletKind::kMatMul, batch, in, hid});   // x Wx
+    specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // h Wh
+    specs.push_back({mpc::TripletKind::kActivation, batch, 0, hid});
+  }
+  specs.push_back({mpc::TripletKind::kMatMul, batch, hid, out});  // h_T Wo
+  if (!training) return;
+  specs.push_back({mpc::TripletKind::kMatMul, hid, batch, out});  // dWo
+  specs.push_back({mpc::TripletKind::kMatMul, batch, out, hid});  // dh_T
+  for (std::size_t t = 0; t < steps_; ++t) {
+    specs.push_back({mpc::TripletKind::kMatMul, in, batch, hid});   // dWx
+    specs.push_back({mpc::TripletKind::kMatMul, hid, batch, hid});  // dWh
+    specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // dh
+  }
+}
+
+MatrixF SecureRnnLayer::forward(SecureEnv& env, const MatrixF& x_i) {
+  auto& ctx = *env.ctx;
+  PSML_REQUIRE(x_i.cols() == steps_ * wx_.rows(),
+               "SecureRnnLayer: input width mismatch");
+  // Splitting columns is linear: each server splits its own share.
+  xs_cache_ = data::sequence_view(x_i, steps_);
+  h_cache_.assign(1, MatrixF(x_i.rows(), wh_.rows(), 0.0f));
+  mask_cache_.clear();
+
+  for (std::size_t t = 0; t < steps_; ++t) {
+    MatrixF zx = mpc::secure_matmul(ctx, xs_cache_[t], wx_,
+                                    key(ctx, kPhaseForward, t, 0));
+    MatrixF zh = mpc::secure_matmul(ctx, h_cache_.back(), wh_,
+                                    key(ctx, kPhaseForward, t, 1));
+    MatrixF z;
+    tensor::add(zx, zh, z);
+    auto act =
+        mpc::secure_activation(ctx, z, key(ctx, kPhaseForward, t, 2));
+    h_cache_.push_back(std::move(act.value_share));
+    mask_cache_.push_back(std::move(act.grad_mask));
+  }
+  return mpc::secure_matmul(ctx, h_cache_.back(), wo_,
+                            key(ctx, kPhaseForward, steps_, 0));
+}
+
+MatrixF SecureRnnLayer::backward(SecureEnv& env, const MatrixF& dy_i) {
+  auto& ctx = *env.ctx;
+  // dWo += h_T^T x dY ; dh = dY x Wo^T
+  MatrixF g = mpc::secure_matmul(ctx, tensor::transpose(h_cache_.back()),
+                                 dy_i, key(ctx, kPhaseBackward, steps_, 0));
+  tensor::add(dwo_, g, dwo_);
+  MatrixF dh = mpc::secure_matmul(ctx, dy_i, tensor::transpose(wo_),
+                                  key(ctx, kPhaseBackward, steps_, 1));
+
+  for (std::size_t t = steps_; t-- > 0;) {
+    MatrixF dz;
+    tensor::hadamard(dh, mask_cache_[t], dz);  // public mask: local
+    MatrixF gx = mpc::secure_matmul(ctx, tensor::transpose(xs_cache_[t]), dz,
+                                    key(ctx, kPhaseBackward, t, 0));
+    tensor::add(dwx_, gx, dwx_);
+    MatrixF gh = mpc::secure_matmul(ctx, tensor::transpose(h_cache_[t]), dz,
+                                    key(ctx, kPhaseBackward, t, 1));
+    tensor::add(dwh_, gh, dwh_);
+    dh = mpc::secure_matmul(ctx, dz, tensor::transpose(wh_),
+                            key(ctx, kPhaseBackward, t, 2));
+  }
+  // Keep weight-share magnitudes at the mask scale (see refresh_share docs).
+  dwx_ = mpc::refresh_share(ctx, dwx_);
+  dwh_ = mpc::refresh_share(ctx, dwh_);
+  dwo_ = mpc::refresh_share(ctx, dwo_);
+  return MatrixF();
+}
+
+void SecureRnnLayer::update(float lr) {
+  tensor::axpy(-lr, dwx_, wx_);
+  tensor::axpy(-lr, dwh_, wh_);
+  tensor::axpy(-lr, dwo_, wo_);
+  dwx_.fill(0.0f);
+  dwh_.fill(0.0f);
+  dwo_.fill(0.0f);
 }
 
 }  // namespace psml::ml

@@ -57,9 +57,10 @@ class SecureLayer {
 
   // Appends pointers to this layer's persistent parameter shares (the state
   // an SGD update mutates), in a deterministic order shared by both
-  // servers. Used by the checkpoint share-snapshot machinery to roll a
-  // model back to the start of a failed training step. Stateless layers
-  // contribute nothing.
+  // servers and by the plaintext layer's Layer::collect_state, which
+  // reconstruct_plain relies on. Used by the checkpoint share-snapshot
+  // machinery to roll a model back to the start of a failed training step.
+  // Stateless layers contribute nothing.
   virtual void collect_state(std::vector<MatrixF*>& out) {}
 
  protected:
@@ -77,9 +78,6 @@ class SecureDense : public SecureLayer {
   MatrixF forward(SecureEnv& env, const MatrixF& x_i) override;
   MatrixF backward(SecureEnv& env, const MatrixF& dy_i) override;
   void update(float lr) override;
-
-  const MatrixF& weight_share() const { return w_; }
-  const MatrixF& bias_share() const { return b_; }
 
   void collect_state(std::vector<MatrixF*>& out) override {
     out.push_back(&w_);
@@ -134,7 +132,6 @@ class SecureConv2D : public SecureLayer {
   void update(float lr) override;
 
   const tensor::ConvShape& shape() const { return shape_; }
-  const MatrixF& weight_share() const { return w_; }
 
   void collect_state(std::vector<MatrixF*>& out) override {
     out.push_back(&w_);
@@ -147,6 +144,45 @@ class SecureConv2D : public SecureLayer {
   MatrixF patches_cache_;
   std::size_t batch_cache_ = 0;
   mpc::TripletShare t_dw_, t_dx_;
+};
+
+// Elman RNN on shares, mirroring ml::RnnLayer: every product is a triplet
+// matmul, the activation runs the masked-comparison protocol, and gradient
+// accumulation across timesteps is local (sums of shares are shares of
+// sums). Like RnnLayer it computes no input gradient: backward() returns an
+// empty matrix, so the layer must come first in its model.
+class SecureRnnLayer : public SecureLayer {
+ public:
+  // Shares of W_x (in x hidden), W_h (hidden x hidden), W_o (hidden x out).
+  SecureRnnLayer(std::size_t steps, MatrixF wx_share, MatrixF wh_share,
+                 MatrixF wo_share);
+
+  void plan(std::vector<mpc::TripletSpec>& specs, std::size_t batch,
+            bool training) const override;
+  MatrixF forward(SecureEnv& env, const MatrixF& x_i) override;
+  MatrixF backward(SecureEnv& env, const MatrixF& dy_i) override;
+  void update(float lr) override;
+
+  void collect_state(std::vector<MatrixF*>& out) override {
+    out.push_back(&wx_);
+    out.push_back(&wh_);
+    out.push_back(&wo_);
+  }
+
+ private:
+  // Compression stream key of (timestep, operand). Each timestep owns a
+  // block of four keys, so the E/F halves a secure matmul derives from its
+  // key (key ^ 1, key ^ 2) never reach another timestep's streams. The
+  // output product h_T x W_o and its gradients take t = steps.
+  std::uint64_t key(const mpc::PartyContext& ctx, std::uint32_t phase,
+                    std::size_t t, std::uint32_t operand) const;
+
+  std::size_t steps_;
+  MatrixF wx_, wh_, wo_;
+  MatrixF dwx_, dwh_, dwo_;
+  std::vector<MatrixF> xs_cache_;
+  std::vector<MatrixF> h_cache_;
+  std::vector<MatrixF> mask_cache_;  // public activation masks
 };
 
 }  // namespace psml::ml

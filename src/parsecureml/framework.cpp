@@ -13,7 +13,6 @@
 #include "parsecureml/store_transfer.hpp"
 #include "profile/adaptive.hpp"
 #include "profile/profiler.hpp"
-#include "tensor/ops.hpp"
 
 namespace psml::parsecureml {
 
@@ -65,8 +64,6 @@ ml::ModelConfig model_config_for(const RunConfig& cfg,
     mc.channels = geometry.c;
     mc.input_dim = geometry.features();
   } else if (cfg.model == ml::ModelKind::kRnn) {
-    PSML_REQUIRE(geometry.features() % cfg.rnn_steps == 0,
-                 "RNN: features not divisible by steps");
     mc.rnn_steps = cfg.rnn_steps;
     mc.input_dim = geometry.features() / cfg.rnn_steps;
     mc.rnn_hidden = 32;
@@ -104,52 +101,26 @@ RunResult run_plain(const RunConfig& cfg, bool training) {
   const std::size_t n_batches = batch_count(cfg);
   Timer total;
 
-  if (cfg.model == ml::ModelKind::kRnn) {
-    auto model = ml::build_plain_rnn(mc);
-    Timer online;
-    for (std::size_t e = 0; e < cfg.epochs; ++e) {
-      for (std::size_t b = 0; b < n_batches; ++b) {
-        const MatrixF xb = data::slice_rows(ds.x, b * batch, batch);
-        const MatrixF yb = data::slice_rows(ds.y, b * batch, batch);
-        const auto xs = data::sequence_view(xb, cfg.rnn_steps);
-        const MatrixF pred = training ? model.forward(xs) : model.forward(xs);
-        if (training) {
-          const auto loss = ml::compute_loss(ml::LossKind::kMse, pred, yb);
-          model.backward(loss.grad);
-          model.update(cfg.lr);
-        }
+  auto model = ml::build_plain(mc);
+  const auto loss_kind = ml::loss_for(cfg.model);
+  Timer online;
+  for (std::size_t e = 0; e < cfg.epochs; ++e) {
+    for (std::size_t b = 0; b < n_batches; ++b) {
+      const MatrixF xb = data::slice_rows(ds.x, b * batch, batch);
+      const MatrixF yb = data::slice_rows(ds.y, b * batch, batch);
+      if (training) {
+        ml::train_batch(model, loss_kind, xb, yb, cfg.lr);
+      } else {
+        (void)model.forward(xb);
       }
     }
-    result.online_sec = online.seconds();
-    if (cfg.evaluate) {
-      const auto xs = data::sequence_view(ds.x, cfg.rnn_steps);
-      result.accuracy = ml::accuracy(model.forward(xs), ds.y);
-    }
-    if (training && !cfg.checkpoint_path.empty()) {
-      ml::save_model(cfg.checkpoint_path, model);
-    }
-  } else {
-    auto model = ml::build_plain(mc);
-    const auto loss_kind = ml::loss_for(cfg.model);
-    Timer online;
-    for (std::size_t e = 0; e < cfg.epochs; ++e) {
-      for (std::size_t b = 0; b < n_batches; ++b) {
-        const MatrixF xb = data::slice_rows(ds.x, b * batch, batch);
-        const MatrixF yb = data::slice_rows(ds.y, b * batch, batch);
-        if (training) {
-          ml::train_batch(model, loss_kind, xb, yb, cfg.lr);
-        } else {
-          (void)model.forward(xb);
-        }
-      }
-    }
-    result.online_sec = online.seconds();
-    if (cfg.evaluate) {
-      result.accuracy = ml::accuracy(model.forward(ds.x), ds.y);
-    }
-    if (training && !cfg.checkpoint_path.empty()) {
-      ml::save_model(cfg.checkpoint_path, model);
-    }
+  }
+  result.online_sec = online.seconds();
+  if (cfg.evaluate) {
+    result.accuracy = ml::accuracy(model.forward(ds.x), ds.y);
+  }
+  if (training && !cfg.checkpoint_path.empty()) {
+    ml::save_model(cfg.checkpoint_path, model);
   }
   result.total_sec = total.seconds();
   return result;
@@ -225,23 +196,12 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
   dopts.naive_cpu = !opts.use_gpu && !opts.cpu_parallel;
   dopts.seed = cfg.seed ^ 0xD5A1;
 
-  const bool is_rnn = cfg.model == ml::ModelKind::kRnn;
-  ml::SecurePair pair;
-  ml::SecureRnnPair rnn_pair;
-  std::vector<mpc::TripletSpec> plan;
+  ml::SecurePair pair = ml::build_secure_pair(mc);
   // One epoch's worth of triplets; epochs recycle them so the masks U/V of
   // each (layer, operand) stay fixed across epochs — the precondition of the
   // Eq. 11-12 delta compression (see TripletStore::set_recycle).
-  if (is_rnn) {
-    rnn_pair = ml::build_secure_rnn_pair(mc);
-    for (std::size_t i = 0; i < n_batches; ++i) {
-      rnn_pair.m0->plan(plan, batch, cfg.rnn_steps, training);
-    }
-  } else {
-    pair = ml::build_secure_pair(mc);
-    plan = ml::epoch_plan(pair.m0, n_batches, batch, loss_kind,
-                          mc.output_dim(), training);
-  }
+  const std::vector<mpc::TripletSpec> plan = ml::epoch_plan(
+      pair.m0, n_batches, batch, loss_kind, mc.output_dim(), training);
 
   const bool use_factory =
       cfg.use_triplet_factory || env_bool("PSML_TRIPLET_FACTORY", false);
@@ -317,7 +277,6 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
     const MatrixF& x = id == 0 ? x0 : x1;
     const MatrixF& y = id == 0 ? y0 : y1;
     auto& model = id == 0 ? pair.m0 : pair.m1;
-    auto& rnn = id == 0 ? rnn_pair.m0 : rnn_pair.m1;
     auto& preds = id == 0 ? preds0 : preds1;
 
     // The layer loop emits its op graphs into the party's dependency
@@ -330,21 +289,7 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
         ctx.set_stream_salt(b);  // per-batch-slot compression baselines
         const MatrixF xb = data::slice_rows(x, b * batch, batch);
         const MatrixF yb = data::slice_rows(y, b * batch, batch);
-        if (is_rnn) {
-          const auto xs = data::sequence_view(xb, cfg.rnn_steps);
-          MatrixF pred = rnn->forward(env, xs);
-          if (training) {
-            MatrixF grad(pred.rows(), pred.cols());
-            const float inv_n = 1.0f / static_cast<float>(pred.rows());
-            for (std::size_t i = 0; i < grad.size(); ++i) {
-              grad.data()[i] = (pred.data()[i] - yb.data()[i]) * inv_n;
-            }
-            rnn->backward(env, grad);
-            rnn->update(cfg.lr);
-          } else {
-            preds.push_back(std::move(pred));
-          }
-        } else if (training) {
+        if (training) {
           ml::secure_train_batch(env, model, loss_kind, xb, yb, cfg.lr);
         } else {
           preds.push_back(ml::secure_infer_batch(env, model, xb));
@@ -375,19 +320,10 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
 
   if (cfg.evaluate) {
     if (training) {
-      if (is_rnn) {
-        auto plain = ml::reconstruct_plain_rnn(mc, *rnn_pair.m0, *rnn_pair.m1);
-        const auto xs = data::sequence_view(ds.x, cfg.rnn_steps);
-        result.accuracy = ml::accuracy(plain.forward(xs), ds.y);
-        if (!cfg.checkpoint_path.empty()) {
-          ml::save_model(cfg.checkpoint_path, plain);
-        }
-      } else {
-        auto plain = ml::reconstruct_plain(mc, pair.m0, pair.m1);
-        result.accuracy = ml::accuracy(plain.forward(ds.x), ds.y);
-        if (!cfg.checkpoint_path.empty()) {
-          ml::save_model(cfg.checkpoint_path, plain);
-        }
+      auto plain = ml::reconstruct_plain(mc, pair.m0, pair.m1);
+      result.accuracy = ml::accuracy(plain.forward(ds.x), ds.y);
+      if (!cfg.checkpoint_path.empty()) {
+        ml::save_model(cfg.checkpoint_path, plain);
       }
     } else {
       // Client reconstructs the prediction shares batch by batch.

@@ -280,34 +280,25 @@ TEST(StepRollback, ShareSnapshotRestoresParameters) {
   EXPECT_THROW(ml::load_share_snapshot(snap, other_pair.m0), InvalidArgument);
 }
 
-TEST(ResilientTraining, RecoversFromTransientBitFlip) {
-  const std::size_t batch = 8;
-  const auto ds = data::make_dataset(data::DatasetKind::kMnist,
-                                     data::LabelScheme::kOneHot10, batch, 75);
-  ml::ModelConfig mc;
-  mc.kind = ml::ModelKind::kMlp;
-  mc.input_dim = ds.geometry.features();
-  mc.classes = 10;
-  mc.seed = 76;
-
+// One resilient secure training step of `mc` on (x, y) with one corrupted
+// frame mid-forward: party 1 sees a CRC failure at once, party 0 only
+// notices when its recv deadline expires — recovery must bridge that
+// asymmetry. The recovered step must match the plaintext reference exactly
+// as a clean secure step would (same bound as SecureVsPlain).
+void expect_recovery_from_bit_flip(const ml::ModelConfig& mc, const MatrixF& x,
+                                   const MatrixF& y, const char* fault_plan) {
   auto plain = ml::build_plain(mc);
-  ml::train_batch(plain, ml::LossKind::kMse, ds.x, ds.y, 0.25f);
+  ml::train_batch(plain, ml::LossKind::kMse, x, y, 0.25f);
 
   auto pair = ml::build_secure_pair(mc);
   std::vector<mpc::TripletSpec> plan;
-  pair.m0.plan_batch(plan, batch, ml::LossKind::kMse, 10, true);
+  pair.m0.plan_batch(plan, x.rows(), ml::LossKind::kMse, mc.classes, true);
   auto [st0, st1] = gen_stores(plan, 77);
-  auto xs = mpc::share_float(ds.x, 78);
-  auto ys = mpc::share_float(ds.y, 79);
+  auto xs = mpc::share_float(x, 78);
+  auto ys = mpc::share_float(y, 79);
 
-  // One corrupted frame mid-forward: party 1 sees a CRC failure at once,
-  // party 0 only notices when its recv deadline expires — recovery must
-  // bridge that asymmetry. Send 5 is the first activation's open (after
-  // layer 1's E/F pair, its two staged opens and the activation's two
-  // comparison products; pinned by ChaosPlanPositions in
-  // wire_order_test.cpp).
   auto chans = net::FaultInjectChannel::wrap_pair(
-      net::LocalChannel::make_pair(), net::FaultPlan::parse("flip@5"),
+      net::LocalChannel::make_pair(), net::FaultPlan::parse(fault_plan),
       net::FaultPlan{}, 99);
 
   ml::RetryPolicy pol;
@@ -339,17 +330,45 @@ TEST(ResilientTraining, RecoversFromTransientBitFlip) {
   EXPECT_GE(s0.rollbacks, 1);
   EXPECT_GE(s1.rollbacks, 1);
 
-  // The recovered step must match the plaintext reference exactly as a
-  // clean secure step would (same bound as SecureVsPlain).
   auto secure_as_plain = ml::reconstruct_plain(mc, pair.m0, pair.m1);
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    auto* dp = dynamic_cast<ml::Dense*>(&plain.layer(i));
-    if (dp == nullptr) continue;
-    auto* dsec = dynamic_cast<ml::Dense*>(&secure_as_plain.layer(i));
-    ASSERT_NE(dsec, nullptr);
-    expect_near(dsec->weights(), dp->weights(), 5e-2,
-                ("layer " + std::to_string(i)).c_str());
+  const std::vector<MatrixF*> want = plain.collect_state();
+  const std::vector<MatrixF*> got = secure_as_plain.collect_state();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_near(*got[i], *want[i], 5e-2,
+                ("parameter " + std::to_string(i)).c_str());
   }
+}
+
+TEST(ResilientTraining, RecoversFromTransientBitFlip) {
+  const std::size_t batch = 8;
+  const auto ds = data::make_dataset(data::DatasetKind::kMnist,
+                                     data::LabelScheme::kOneHot10, batch, 75);
+  ml::ModelConfig mc;
+  mc.kind = ml::ModelKind::kMlp;
+  mc.input_dim = ds.geometry.features();
+  mc.classes = 10;
+  mc.seed = 76;
+  // Send 5 is the first activation's open (after layer 1's E/F pair, its
+  // two staged opens and the activation's two comparison products; pinned
+  // by ChaosPlanPositions.MlpFirstLayerAndActivation in wire_order_test.cpp).
+  expect_recovery_from_bit_flip(mc, ds.x, ds.y, "flip@5");
+}
+
+TEST(ResilientTraining, RnnRecoversFromTransientBitFlip) {
+  ml::ModelConfig mc;
+  mc.kind = ml::ModelKind::kRnn;
+  mc.input_dim = 6;
+  mc.rnn_steps = 3;
+  mc.rnn_hidden = 8;
+  mc.classes = 1;
+  mc.seed = 76;
+  const MatrixF x = random_matrix(8, 3 * 6, 75, -0.4f, 0.4f);
+  const MatrixF y = random_matrix(8, 1, 76, 0.0f, 1.0f);
+  // Send 4 is the first timestep's activation open (after the E/F pairs of
+  // x_0 W_x and h_0 W_h and the activation's two comparison products;
+  // pinned by ChaosPlanPositions.RnnFirstStepActivation).
+  expect_recovery_from_bit_flip(mc, x, y, "flip@4");
 }
 
 TEST(ResilientTraining, ExhaustedRetriesRethrowAndRollBack) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ml/checkpoint.hpp"
 #include "ml/models.hpp"
@@ -63,14 +64,44 @@ TEST(Checkpoint, CnnRoundTrip) {
 }
 
 TEST(Checkpoint, RnnRoundTrip) {
-  RnnModel model(6, 5, 1, 503);
+  ModelConfig mc;
+  mc.kind = ModelKind::kRnn;
+  mc.input_dim = 6;
+  mc.rnn_hidden = 5;
+  mc.classes = 1;
+  mc.seed = 503;
+  auto model = build_plain(mc);
   std::stringstream ss;
   save_model(ss, model);
-  RnnModel restored(6, 5, 1, 999);
+
+  // The layout RNN checkpoints have always had: magic, version 1, one
+  // layer tagged 100, then W_x, W_h, W_o.
+  const auto& rnn = dynamic_cast<RnnLayer&>(model.layer(0));
+  std::string want;
+  auto put_u32 = [&](std::uint32_t v) {
+    want.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto put_matrix = [&](const MatrixF& m) {
+    put_u32(static_cast<std::uint32_t>(m.rows()));
+    put_u32(static_cast<std::uint32_t>(m.cols()));
+    want.append(reinterpret_cast<const char*>(m.data()), m.bytes());
+  };
+  put_u32(0x50534d43);
+  put_u32(1);
+  put_u32(1);
+  put_u32(100);
+  put_matrix(rnn.wx());
+  put_matrix(rnn.wh());
+  put_matrix(rnn.wo());
+  EXPECT_EQ(ss.str(), want);
+
+  mc.seed = 999;
+  auto restored = build_plain(mc);
   load_model(ss, restored);
-  expect_near(restored.wx(), model.wx(), 0.0, "wx");
-  expect_near(restored.wh(), model.wh(), 0.0, "wh");
-  expect_near(restored.wo(), model.wo(), 0.0, "wo");
+  const auto& back = dynamic_cast<RnnLayer&>(restored.layer(0));
+  expect_near(back.wx(), rnn.wx(), 0.0, "wx");
+  expect_near(back.wh(), rnn.wh(), 0.0, "wh");
+  expect_near(back.wo(), rnn.wo(), 0.0, "wo");
 }
 
 TEST(Checkpoint, FileRoundTrip) {

@@ -55,10 +55,17 @@ mpc::PartyOptions cpu_opts() {
   return opts;
 }
 
-ml::ModelConfig model_config() {
+// Both models read the same 10-feature rows: the MLP whole, the RNN as 2
+// timesteps of 5 features.
+ml::ModelConfig model_config(ml::ModelKind kind = ml::ModelKind::kMlp) {
   ml::ModelConfig mc;
-  mc.kind = ml::ModelKind::kMlp;
+  mc.kind = kind;
   mc.input_dim = 10;
+  if (kind == ml::ModelKind::kRnn) {
+    mc.input_dim = 5;
+    mc.rnn_steps = 2;
+    mc.rnn_hidden = 6;
+  }
   mc.classes = 4;
   mc.seed = 41;
   return mc;
@@ -66,8 +73,9 @@ ml::ModelConfig model_config() {
 
 // Offline material for the full run: the per-step plan repeated once per
 // step, dealt with a fixed seed so every (re)start holds identical stores.
-std::pair<mpc::TripletStore, mpc::TripletStore> deal_stores() {
-  auto pair = ml::build_secure_pair(model_config());
+std::pair<mpc::TripletStore, mpc::TripletStore> deal_stores(
+    const ml::ModelConfig& mc) {
+  auto pair = ml::build_secure_pair(mc);
   std::vector<mpc::TripletSpec> plan;
   for (std::size_t s = 0; s < kTotalSteps; ++s) {
     pair.m0.plan_batch(plan, kBatch, ml::LossKind::kMse, 4, true);
@@ -137,13 +145,14 @@ struct PhaseResult {
 PhaseResult run_phase(const std::string& dir0, const std::string& dir1,
                       const std::string& crash_plan, ml::ResumableStats* out0,
                       ml::ResumableStats* out1, std::string* final0 = nullptr,
-                      std::string* final1 = nullptr) {
+                      std::string* final1 = nullptr,
+                      const ml::ModelConfig& mc = model_config()) {
   const mpc::PartyOptions popts = cpu_opts();
   auto chans = net::LocalChannel::make_pair();
   mpc::PartyContext ctx0(0, chans.a, nullptr, popts);
   mpc::PartyContext ctx1(1, chans.b, nullptr, popts);
-  auto pair = ml::build_secure_pair(model_config());
-  auto stores = deal_stores();
+  auto pair = ml::build_secure_pair(mc);
+  auto stores = deal_stores(mc);
   const SharedData& d = shared_data();
 
   if (!crash_plan.empty()) {
@@ -199,11 +208,12 @@ PhaseResult run_phase(const std::string& dir0, const std::string& dir1,
 // Reference: the same run with no interference. Computed per scenario (cheap
 // at this model size) into scenario-local directories.
 void run_baseline(const std::string& scenario, std::string& snap0,
-                  std::string& snap1) {
+                  std::string& snap1,
+                  const ml::ModelConfig& mc = model_config()) {
   const auto [dir0, dir1] = fresh_dirs(scenario + "-baseline");
   ml::ResumableStats s0, s1;
   PhaseResult res =
-      run_phase(dir0, dir1, "", &s0, &s1, &snap0, &snap1);
+      run_phase(dir0, dir1, "", &s0, &s1, &snap0, &snap1, mc);
   if (res.err0) std::rethrow_exception(res.err0);
   if (res.err1) std::rethrow_exception(res.err1);
   ASSERT_EQ(s0.steps_run, kTotalSteps);
@@ -229,11 +239,13 @@ struct Scenario {
   std::string plan;            // armed-hit clause for party 0
   const char* point;           // crash-point name the plan targets
   std::uint64_t want_resume;   // expected negotiated recovery id on restart
+  ml::ModelKind model = ml::ModelKind::kMlp;
 };
 
 void run_scenario(const Scenario& sc) {
+  const ml::ModelConfig mc = model_config(sc.model);
   std::string base0, base1;
-  ASSERT_NO_FATAL_FAILURE(run_baseline(sc.test_name, base0, base1));
+  ASSERT_NO_FATAL_FAILURE(run_baseline(sc.test_name, base0, base1, mc));
 
   const auto [dir0, dir1] = fresh_dirs(sc.test_name);
 
@@ -241,7 +253,7 @@ void run_scenario(const Scenario& sc) {
   // as a transport failure (never a hang — the no-timeout guard is satellite
   // territory, here every exchange carries a deadline).
   PhaseResult crash_res =
-      run_phase(dir0, dir1, sc.plan, nullptr, nullptr);
+      run_phase(dir0, dir1, sc.plan, nullptr, nullptr, nullptr, nullptr, mc);
   EXPECT_GE(crash::hits(sc.point), 1u) << sc.point << " never reached";
   crash::clear_plan();
   expect_simulated_crash(crash_res.err0, sc.point);
@@ -253,7 +265,7 @@ void run_scenario(const Scenario& sc) {
   ml::ResumableStats r0, r1;
   std::string fin0, fin1;
   PhaseResult resume_res =
-      run_phase(dir0, dir1, "", &r0, &r1, &fin0, &fin1);
+      run_phase(dir0, dir1, "", &r0, &r1, &fin0, &fin1, mc);
   if (resume_res.err0) std::rethrow_exception(resume_res.err0);
   if (resume_res.err1) std::rethrow_exception(resume_res.err1);
 
@@ -281,6 +293,13 @@ void run_scenario(const Scenario& sc) {
 // restart rewinds store cursors and seq to step 1 and replays.
 TEST(CrashRecovery, MidStep) {
   run_scenario({"mid-step", "train.mid-step@1", "train.mid-step", 1});
+}
+
+// The same mid-step death in an RNN run: the RNN trains through
+// secure_train_resumable like every other model.
+TEST(CrashRecovery, RnnMidStep) {
+  run_scenario({"rnn-mid-step", "train.mid-step@1", "train.mid-step", 1,
+                ml::ModelKind::kRnn});
 }
 
 // Party 0 dies after durably preparing checkpoint 2 but before the prepare

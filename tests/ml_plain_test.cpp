@@ -6,7 +6,7 @@
 #include "ml/models.hpp"
 #include "ml/plain/layers.hpp"
 #include "ml/plain/model.hpp"
-#include "ml/plain/rnn.hpp"
+#include "sgpu/device.hpp"
 #include "tensor/ops.hpp"
 #include "test_util.hpp"
 
@@ -15,6 +15,7 @@ namespace {
 
 using psml::test::expect_near;
 using psml::test::random_matrix;
+using psml::test::random_sequence;
 
 // Central-difference gradient check for a Dense layer through MSE loss.
 TEST(Dense, NumericalGradientCheck) {
@@ -179,23 +180,32 @@ TEST(Accuracy, ArgmaxAndBinary) {
 
 TEST(Engines, AllEnginesAgreeOnForward) {
   const MatrixF x = random_matrix(8, 20, 507);
-  MatrixF outs[3];
+  MatrixF outs[3], rnn_outs[3];
+  auto& trace = sgpu::Device::global().trace();
   int i = 0;
   for (const auto engine :
        {Engine::kCpuNaive, Engine::kCpuParallel, Engine::kGpu}) {
     Dense layer(20, 10, engine, 58);
-    outs[i++] = layer.forward(x);
+    outs[i] = layer.forward(x);
+    trace.clear();
+    RnnLayer rnn(5, 6, 3, /*steps=*/4, engine, 59);  // 4 steps x 5 features
+    rnn_outs[i++] = rnn.forward(x);
   }
   expect_near(outs[0], outs[1], 1e-4, "naive vs parallel");
   expect_near(outs[0], outs[2], 1e-4, "naive vs gpu");
+  expect_near(rnn_outs[0], rnn_outs[1], 1e-4, "rnn naive vs parallel");
+  expect_near(rnn_outs[0], rnn_outs[2], 1e-4, "rnn naive vs gpu");
+  // The kGpu RNN ran every product on the device: x W_x and h W_h per step,
+  // then h_T W_o.
+  const auto kernels = trace.summary();
+  ASSERT_EQ(kernels.count("kernel:gemm"), 1u);
+  EXPECT_EQ(kernels.at("kernel:gemm").count, 2u * 4u + 1u);
 }
 
 class ModelTraining : public ::testing::TestWithParam<ModelKind> {};
 
 TEST_P(ModelTraining, ConvergesOnSeparableData) {
   const ModelKind kind = GetParam();
-  if (kind == ModelKind::kRnn) GTEST_SKIP() << "RNN covered separately";
-
   const auto scheme = kind == ModelKind::kSvm
                           ? data::LabelScheme::kBinaryPm1
                           : (kind == ModelKind::kCnn || kind == ModelKind::kMlp
@@ -239,11 +249,22 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ModelTraining,
                                            ModelKind::kSvm),
                          [](const auto& info) { return to_string(info.param); });
 
+ModelConfig rnn_config(std::size_t in, std::size_t hidden, std::size_t steps,
+                       std::uint64_t seed) {
+  ModelConfig mc;
+  mc.kind = ModelKind::kRnn;
+  mc.input_dim = in;
+  mc.rnn_hidden = hidden;
+  mc.rnn_steps = steps;
+  mc.classes = 1;
+  mc.seed = seed;
+  return mc;
+}
+
 TEST(Rnn, ForwardShapesAndBackwardRuns) {
-  RnnModel rnn(16, 8, 1, 62);
-  std::vector<MatrixF> xs;
-  for (int t = 0; t < 4; ++t) xs.push_back(random_matrix(6, 16, 510 + t));
-  const MatrixF out = rnn.forward(xs);
+  auto rnn = build_plain(rnn_config(16, 8, 4, 62));
+  const MatrixF x = random_sequence(6, 4, 16, 510);
+  const MatrixF out = rnn.forward(x);
   EXPECT_EQ(out.rows(), 6u);
   EXPECT_EQ(out.cols(), 1u);
   const MatrixF target = random_matrix(6, 1, 520);
@@ -255,25 +276,18 @@ TEST(Rnn, ForwardShapesAndBackwardRuns) {
 TEST(Rnn, LearnsSimpleTarget) {
   // Learn to regress the mean of the last step's inputs.
   const std::size_t batch = 64, d = 8, steps = 3;
-  std::vector<MatrixF> xs;
-  for (std::size_t t = 0; t < steps; ++t) {
-    xs.push_back(random_matrix(batch, d, 530 + t, 0.0f, 1.0f));
-  }
+  const MatrixF x = random_sequence(batch, steps, d, 530, 0.0f, 1.0f);
   MatrixF target(batch, 1);
   for (std::size_t r = 0; r < batch; ++r) {
     float mean = 0;
-    for (std::size_t c = 0; c < d; ++c) mean += xs[steps - 1](r, c);
+    for (std::size_t c = 0; c < d; ++c) mean += x(r, (steps - 1) * d + c);
     target(r, 0) = mean / static_cast<float>(d);
   }
-  RnnModel rnn(d, 16, 1, 63);
+  auto rnn = build_plain(rnn_config(d, 16, steps, 63));
   float first_loss = 0, last_loss = 0;
   for (int epoch = 0; epoch < 200; ++epoch) {
-    const MatrixF pred = rnn.forward(xs);
-    const auto lr_res = compute_loss(LossKind::kMse, pred, target);
-    if (epoch == 0) first_loss = lr_res.value;
-    last_loss = lr_res.value;
-    rnn.backward(lr_res.grad);
-    rnn.update(0.05f);
+    last_loss = train_batch(rnn, LossKind::kMse, x, target, 0.05f);
+    if (epoch == 0) first_loss = last_loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.7f);
 }
@@ -301,13 +315,7 @@ TEST(Models, FactoriesProduceExpectedArchitectures) {
   auto cnn = build_plain(mc);
   EXPECT_EQ(cnn.size(), 5u);  // conv, act, dense, act, dense
 
-  EXPECT_THROW(
-      [] {
-        ModelConfig bad;
-        bad.kind = ModelKind::kRnn;
-        (void)build_plain(bad);
-      }(),
-      InvalidArgument);
+  EXPECT_EQ(build_plain(rnn_config(8, 4, 2, 7)).size(), 1u);  // one RnnLayer
 }
 
 }  // namespace

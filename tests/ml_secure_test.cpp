@@ -10,7 +10,6 @@
 #include "ml/checkpoint.hpp"
 #include "ml/models.hpp"
 #include "ml/secure/secure_model.hpp"
-#include "ml/secure/secure_rnn.hpp"
 #include "mpc/triplet_io.hpp"
 #include "tensor/ops.hpp"
 #include "test_util.hpp"
@@ -20,6 +19,7 @@ namespace {
 
 using psml::test::expect_near;
 using psml::test::random_matrix;
+using psml::test::random_sequence;
 using psml::test::run_parties;
 
 mpc::PartyOptions cpu_opts(bool pipeline = false) {
@@ -451,24 +451,16 @@ TEST(SecureRnn, ForwardMatchesPlainRnn) {
   mc.rnn_steps = 3;
   mc.seed = 94;
 
-  auto plain = build_plain_rnn(mc);
-  auto pair = build_secure_rnn_pair(mc);
+  auto plain = build_plain(mc);
+  auto pair = build_secure_pair(mc);
 
   const std::size_t batch = 5;
-  std::vector<MatrixF> xs_plain;
-  for (int t = 0; t < 3; ++t) {
-    xs_plain.push_back(random_matrix(batch, 8, 610 + t, -0.4f, 0.4f));
-  }
-  const MatrixF expected = plain.forward(xs_plain);
+  const MatrixF x = random_sequence(batch, 3, 8, 610, -0.4f, 0.4f);
+  const MatrixF expected = plain.forward(x);
 
-  std::vector<MatrixF> xs0, xs1;
-  for (const auto& x : xs_plain) {
-    auto s = mpc::share_float(x, 95);
-    xs0.push_back(std::move(s.s0));
-    xs1.push_back(std::move(s.s1));
-  }
+  auto xs = mpc::share_float(x, 95);
   std::vector<mpc::TripletSpec> plan;
-  pair.m0->plan(plan, batch, 3, /*training=*/false);
+  pair.m0.plan_batch(plan, batch, LossKind::kMse, 1, /*training=*/false);
   auto [st0, st1] = gen_stores(plan, 96);
 
   MatrixF o0, o1;
@@ -476,13 +468,13 @@ TEST(SecureRnn, ForwardMatchesPlainRnn) {
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        SecureEnv env{&ctx, false};
-        o0 = pair.m0->forward(env, xs0);
+        SecureEnv env{&ctx, true};
+        o0 = secure_infer_batch(env, pair.m0, xs.s0);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        SecureEnv env{&ctx, false};
-        o1 = pair.m1->forward(env, xs1);
+        SecureEnv env{&ctx, true};
+        o1 = secure_infer_batch(env, pair.m1, xs.s1);
       });
   expect_near(mpc::reconstruct_float(o0, o1), expected, 5e-2,
               "secure rnn forward");
@@ -497,61 +489,40 @@ TEST(SecureRnn, TrainingStepMatchesPlain) {
   mc.rnn_steps = 2;
   mc.seed = 97;
 
-  auto plain = build_plain_rnn(mc);
-  auto pair = build_secure_rnn_pair(mc);
+  auto plain = build_plain(mc);
+  auto pair = build_secure_pair(mc);
 
   const std::size_t batch = 6;
-  std::vector<MatrixF> xs_plain;
-  for (int t = 0; t < 2; ++t) {
-    xs_plain.push_back(random_matrix(batch, 6, 620 + t, -0.4f, 0.4f));
-  }
+  const MatrixF x = random_sequence(batch, 2, 6, 620, -0.4f, 0.4f);
   const MatrixF y = random_matrix(batch, 1, 630, 0.0f, 1.0f);
 
-  // Plaintext step.
-  const MatrixF pred = plain.forward(xs_plain);
-  const auto lr_res = compute_loss(LossKind::kMse, pred, y);
-  plain.backward(lr_res.grad);
-  plain.update(0.3f);
+  train_batch(plain, LossKind::kMse, x, y, 0.3f);
 
-  // Secure step.
-  std::vector<MatrixF> xs0, xs1;
-  for (const auto& x : xs_plain) {
-    auto s = mpc::share_float(x, 98);
-    xs0.push_back(std::move(s.s0));
-    xs1.push_back(std::move(s.s1));
-  }
+  auto xs = mpc::share_float(x, 98);
   auto ys = mpc::share_float(y, 99);
   std::vector<mpc::TripletSpec> plan;
-  pair.m0->plan(plan, batch, 2, /*training=*/true);
+  pair.m0.plan_batch(plan, batch, LossKind::kMse, 1, /*training=*/true);
   auto [st0, st1] = gen_stores(plan, 100);
 
-  auto step = [&](mpc::PartyContext& ctx, SecureRnn& rnn,
-                  const std::vector<MatrixF>& xs, const MatrixF& yy) {
-    SecureEnv env{&ctx, true};
-    MatrixF p = rnn.forward(env, xs);
-    MatrixF grad(p.rows(), p.cols());
-    const float inv_n = 1.0f / static_cast<float>(p.rows());
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-      grad.data()[i] = (p.data()[i] - yy.data()[i]) * inv_n;
-    }
-    rnn.backward(env, grad);
-    rnn.update(0.3f);
-  };
   run_parties(
       cpu_opts(),
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
-        step(ctx, *pair.m0, xs0, ys.s0);
+        SecureEnv env{&ctx, true};
+        secure_train_batch(env, pair.m0, LossKind::kMse, xs.s0, ys.s0, 0.3f);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
-        step(ctx, *pair.m1, xs1, ys.s1);
+        SecureEnv env{&ctx, true};
+        secure_train_batch(env, pair.m1, LossKind::kMse, xs.s1, ys.s1, 0.3f);
       });
 
-  auto trained = reconstruct_plain_rnn(mc, *pair.m0, *pair.m1);
-  expect_near(trained.wx(), plain.wx(), 5e-2, "wx");
-  expect_near(trained.wh(), plain.wh(), 5e-2, "wh");
-  expect_near(trained.wo(), plain.wo(), 5e-2, "wo");
+  auto trained = reconstruct_plain(mc, pair.m0, pair.m1);
+  const auto& want = dynamic_cast<RnnLayer&>(plain.layer(0));
+  const auto& got = dynamic_cast<RnnLayer&>(trained.layer(0));
+  expect_near(got.wx(), want.wx(), 5e-2, "wx");
+  expect_near(got.wh(), want.wh(), 5e-2, "wh");
+  expect_near(got.wo(), want.wo(), 5e-2, "wo");
 }
 
 TEST(SecurePlan, InferencePlanSmallerThanTraining) {

@@ -24,6 +24,21 @@ inline MatrixF random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+// A batch of sequences in the RNN's input layout: each row holds `steps`
+// chunks of `d` features, chunk t drawn as random_matrix(rows, d, seed + t).
+inline MatrixF random_sequence(std::size_t rows, std::size_t steps,
+                               std::size_t d, std::uint64_t seed,
+                               float lo = -1.0f, float hi = 1.0f) {
+  MatrixF m(rows, steps * d);
+  for (std::size_t t = 0; t < steps; ++t) {
+    const MatrixF xt = random_matrix(rows, d, seed + t, lo, hi);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < d; ++c) m(r, t * d + c) = xt(r, c);
+    }
+  }
+  return m;
+}
+
 inline void expect_near(const MatrixF& a, const MatrixF& b, double tol,
                         const char* what = "") {
   ASSERT_TRUE(a.same_shape(b)) << what << ": shape mismatch";

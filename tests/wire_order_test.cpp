@@ -17,7 +17,6 @@
 
 #include "ml/models.hpp"
 #include "ml/secure/secure_model.hpp"
-#include "ml/secure/secure_rnn.hpp"
 #include "mpc/party.hpp"
 #include "mpc/share.hpp"
 #include "net/local_channel.hpp"
@@ -125,25 +124,33 @@ std::pair<mpc::TripletStore, mpc::TripletStore> gen_stores(
   return dealer.generate(plan);
 }
 
-// One training step of a Sequential model (MLP, CNN, logistic, SVM).
-Wire sequential_step(ml::ModelKind kind) {
+// One training step through secure_train_batch — the step
+// parsecureml::run_training drives for every model.
+Wire train_step(ml::ModelKind kind) {
   ml::ModelConfig mc;
   mc.kind = kind;
   mc.seed = 42;
   std::size_t batch = 8;
+  mc.input_dim = 20;
   if (kind == ml::ModelKind::kCnn) {
     mc.image_h = mc.image_w = 10;
     mc.input_dim = 100;
     batch = 4;
-  } else {
-    mc.input_dim = 20;
+  } else if (kind == ml::ModelKind::kRnn) {
+    mc.input_dim = 6;
+    mc.rnn_steps = 2;
+    mc.rnn_hidden = 4;
+    batch = 6;
   }
+  const std::size_t features = kind == ml::ModelKind::kRnn
+                                   ? mc.rnn_steps * mc.input_dim
+                                   : mc.input_dim;
   mc.classes = kind == ml::ModelKind::kMlp || kind == ml::ModelKind::kCnn
                    ? 10
                    : 1;
   const ml::LossKind loss = ml::loss_for(kind);
 
-  const MatrixF x = random_matrix(batch, mc.input_dim, 43, 0.0f, 1.0f);
+  const MatrixF x = random_matrix(batch, features, 43, 0.0f, 1.0f);
   MatrixF y(batch, mc.classes, 0.0f);
   for (std::size_t r = 0; r < batch; ++r) {
     if (loss == ml::LossKind::kHinge) {
@@ -170,53 +177,6 @@ Wire sequential_step(ml::ModelKind kind) {
   };
   return record(party(&pair.m0, &st0, &xs.s0, &ys.s0),
                 party(&pair.m1, &st1, &xs.s1, &ys.s1));
-}
-
-// One training step of the RNN (forward, MSE gradient, backward, update —
-// the step parsecureml::run_training drives).
-Wire rnn_step() {
-  ml::ModelConfig mc;
-  mc.kind = ml::ModelKind::kRnn;
-  mc.input_dim = 6;
-  mc.rnn_hidden = 4;
-  mc.rnn_steps = 2;
-  mc.classes = 1;
-  mc.seed = 46;
-  const std::size_t batch = 6;
-
-  auto pair = ml::build_secure_rnn_pair(mc);
-  std::vector<mpc::TripletSpec> plan;
-  pair.m0->plan(plan, batch, mc.rnn_steps, /*training=*/true);
-  auto [st0, st1] = gen_stores(plan);
-  std::vector<MatrixF> xs0, xs1;
-  for (std::size_t t = 0; t < mc.rnn_steps; ++t) {
-    auto s = mpc::share_float(random_matrix(batch, 6, 47 + t), 48);
-    xs0.push_back(std::move(s.s0));
-    xs1.push_back(std::move(s.s1));
-  }
-  const auto ys = mpc::share_float(random_matrix(batch, 1, 49), 50);
-
-  auto party = [](ml::SecureRnn* rnn, mpc::TripletStore* st,
-                  const std::vector<MatrixF>* xs, const MatrixF* yi) {
-    return [=](mpc::PartyContext& ctx) {
-      ctx.set_triplets(std::move(*st));
-      ml::SecureEnv env{&ctx, true};
-      const MatrixF pred = rnn->forward(env, *xs);
-      MatrixF grad(pred.rows(), pred.cols());
-      const float inv_n = 1.0f / static_cast<float>(pred.rows());
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        grad.data()[i] = (pred.data()[i] - yi->data()[i]) * inv_n;
-      }
-      rnn->backward(env, grad);
-      rnn->update(0.1f);
-    };
-  };
-  return record(party(pair.m0.get(), &st0, &xs0, &ys.s0),
-                party(pair.m1.get(), &st1, &xs1, &ys.s1));
-}
-
-Wire train_step(ml::ModelKind kind) {
-  return kind == ml::ModelKind::kRnn ? rnn_step() : sequential_step(kind);
 }
 
 class SerialWireOrder : public ::testing::TestWithParam<ml::ModelKind> {};
@@ -278,6 +238,29 @@ TEST(ChaosPlanPositions, MlpFirstLayerAndActivation) {
     ++first_open;
   }
   EXPECT_EQ(first_open, 5u);
+}
+
+TEST(ChaosPlanPositions, RnnFirstStepActivation) {
+  // chaos_test's RNN plan indexes party 0's sends in a serial RNN step.
+  // Timestep 0 sends the E/F pairs of x_0 W_x and h_0 W_h, then its
+  // activation sends two comparison products and opens them.
+  const Wire w = train_step(ml::ModelKind::kRnn);
+  ASSERT_GE(w.p0.size(), 5u);
+  // [0], [1]: the two products' E/F pairs (x_0 is 6 features wide, h_0 4).
+  EXPECT_EQ(family(w.p0[0].tag), mpc::tags::kExchangeE);
+  EXPECT_EQ(family(w.p0[1].tag), mpc::tags::kExchangeE);
+  EXPECT_GT(w.p0[0].bytes, w.p0[1].bytes);
+  // [2], [3]: the activation's two comparison products (same shapes).
+  EXPECT_EQ(family(w.p0[2].tag), mpc::tags::kExchangeE);
+  EXPECT_EQ(family(w.p0[3].tag), mpc::tags::kExchangeE);
+  EXPECT_EQ(w.p0[2].bytes, w.p0[3].bytes);
+  // [4]: the first open of the step, the activation's — flip@4's target.
+  std::size_t first_open = 0;
+  while (first_open < w.p0.size() &&
+         family(w.p0[first_open].tag) != mpc::tags::kOpenMasked) {
+    ++first_open;
+  }
+  EXPECT_EQ(first_open, 4u);
 }
 
 }  // namespace
