@@ -5,7 +5,7 @@
 //
 //   psml_cli --model=mlp --dataset=mnist --mode=parsecureml
 //            --samples=256 --batch=128 --epochs=4 --lr=0.05
-//            [--no-pipeline --no-compression --no-tensor-core --no-gpu
+//            [--no-pipeline --no-compression --tensor-core --no-gpu
 //             --no-adaptive --no-cpu-parallel --no-eq8]
 //            [--infer] [--trace=run.json] [--save=model.bin] [--seed=N]
 //
@@ -79,7 +79,7 @@ void usage() {
       "  --infer            run secure inference instead of training\n"
       "  --no-evaluate      skip the post-run accuracy evaluation\n"
       "optimization toggles (switch mode to custom):\n"
-      "  --no-gpu --no-pipeline --no-compression --no-tensor-core\n"
+      "  --no-gpu --no-pipeline --no-compression --tensor-core\n"
       "  --no-cpu-parallel --no-adaptive --no-eq8\n"
       "  --compression-threshold=F  (default 0.75)\n"
       "outputs:\n"
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
 
   // Any optimization toggle moves the run into custom mode.
   const char* toggles[] = {"no-gpu",          "no-pipeline",
-                           "no-compression",  "no-tensor-core",
+                           "no-compression",  "tensor-core",
                            "no-cpu-parallel", "no-adaptive",
                            "no-eq8",          "compression-threshold"};
   bool custom = false;
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     }
     if (args.has("no-pipeline")) cfg.custom_opts.use_pipeline = false;
     if (args.has("no-compression")) cfg.custom_opts.use_compression = false;
-    if (args.has("no-tensor-core")) cfg.custom_opts.use_tensor_core = false;
+    if (args.has("tensor-core")) cfg.custom_opts.use_tensor_core = true;
     if (args.has("no-cpu-parallel")) cfg.custom_opts.cpu_parallel = false;
     if (args.has("no-adaptive")) cfg.custom_opts.adaptive = false;
     if (args.has("no-eq8")) cfg.custom_opts.fuse_eq8 = false;

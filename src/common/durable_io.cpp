@@ -314,11 +314,12 @@ std::vector<std::uint8_t> Manifest::encode() const {
   put_u64(out, matmul_cursor);
   put_u64(out, elem_cursor);
   put_u64(out, act_cursor);
+  put_u64(out, layer_cursor);
   return out;
 }
 
 Manifest Manifest::decode(const std::vector<std::uint8_t>& bytes) {
-  constexpr std::size_t kSize = 4 + 7 * 8;
+  constexpr std::size_t kSize = 4 + 8 * 8;
   if (bytes.size() != kSize) {
     throw IOError("durable_io: manifest size " + std::to_string(bytes.size()) +
                   ", expected " + std::to_string(kSize));
@@ -336,6 +337,7 @@ Manifest Manifest::decode(const std::vector<std::uint8_t>& bytes) {
   m.matmul_cursor = get_u64(bytes.data() + 36);
   m.elem_cursor = get_u64(bytes.data() + 44);
   m.act_cursor = get_u64(bytes.data() + 52);
+  m.layer_cursor = get_u64(bytes.data() + 60);
   return m;
 }
 

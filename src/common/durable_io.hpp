@@ -29,7 +29,7 @@
 //
 // On top of the section framing sits Manifest, the small fixed record a
 // checkpoint carries so recovery knows *where* in training the snapshot was
-// taken: epoch/step, the channel sequence counter, the three TripletStore
+// taken: epoch/step, the channel sequence counter, the four TripletStore
 // cursors, and the two-party commit id (see ml/secure/durable.hpp for the
 // commit protocol that decides which manifest wins after a crash).
 #pragma once
@@ -115,16 +115,15 @@ struct Manifest {
   std::uint64_t matmul_cursor = 0;   // TripletStore cursors at snapshot —
   std::uint64_t elem_cursor = 0;     //   rewind target so the resumed run
   std::uint64_t act_cursor = 0;      //   consumes the same triplets
+  std::uint64_t layer_cursor = 0;
 
   std::vector<std::uint8_t> encode() const;
-  // Throws IOError on wrong size / unsupported version.
+  // Throws IOError on wrong size / unsupported version. A manifest written
+  // before layer_cursor existed is 8 bytes short and fails the size check,
+  // so recovery skips its checkpoint as unusable.
   static Manifest decode(const std::vector<std::uint8_t>& bytes);
 
-  bool operator==(const Manifest& o) const {
-    return commit_id == o.commit_id && epoch == o.epoch && step == o.step &&
-           seq == o.seq && matmul_cursor == o.matmul_cursor &&
-           elem_cursor == o.elem_cursor && act_cursor == o.act_cursor;
-  }
+  bool operator==(const Manifest& o) const = default;
 };
 
 }  // namespace psml::durable

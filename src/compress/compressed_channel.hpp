@@ -106,9 +106,9 @@ class Endpoint {
 
   net::Channel& channel_;
   Config cfg_;
-  // The double pipeline sends/receives from two threads (main + comm lane);
-  // each direction keeps its own lock so full-duplex traffic does not
-  // serialize. send_mutex_ is held across the blocking channel send — that
+  // A TCP exchange sends on an async helper thread while the training
+  // thread receives; each direction keeps its own lock so full-duplex
+  // traffic does not serialize. send_mutex_ is held across the blocking channel send — that
   // is its purpose (plan + transmit must be atomic per stream so baselines
   // advance in wire order), hence the PSML_BLOCKING lock marker.
   mutable sync::Mutex send_mutex_ PSML_BLOCKING;

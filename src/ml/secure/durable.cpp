@@ -90,6 +90,7 @@ durable::Manifest manifest_for(const PartyState& st, std::uint64_t step,
   m.matmul_cursor = st.cursors.matmul;
   m.elem_cursor = st.cursors.elem;
   m.act_cursor = st.cursors.act;
+  m.layer_cursor = st.cursors.layer;
   return m;
 }
 
@@ -99,6 +100,7 @@ PartyState state_from(const CheckpointDir::Loaded& l) {
   st.cursors.matmul = static_cast<std::size_t>(l.manifest.matmul_cursor);
   st.cursors.elem = static_cast<std::size_t>(l.manifest.elem_cursor);
   st.cursors.act = static_cast<std::size_t>(l.manifest.act_cursor);
+  st.cursors.layer = static_cast<std::size_t>(l.manifest.layer_cursor);
   st.seq = static_cast<std::uint32_t>(l.manifest.seq);
   return st;
 }

@@ -23,6 +23,38 @@ std::uint64_t skey(const mpc::PartyContext& ctx, std::uint32_t layer,
   return stream_key(layer, phase, operand) ^ (ctx.stream_salt() << 48);
 }
 
+// Forward product X x W of a dense or conv layer. Training draws the
+// layer's kLayer material and keeps it and the opened E = X - U,
+// F = W - V for backward; inference draws one kMatMul triplet.
+MatrixF layer_product(SecureEnv& env, const MatrixF& x_i, const MatrixF& w_i,
+                      mpc::LayerShare& material, mpc::Reconstructed& ef,
+                      std::uint64_t key) {
+  auto& ctx = *env.ctx;
+  if (!env.training) return mpc::secure_matmul(ctx, x_i, w_i, key);
+  material = ctx.triplets().pop_layer();
+  ef = mpc::reconstruct_ef(ctx, x_i, w_i, material, key);
+  return mpc::compute_ci(ctx, ef, x_i, w_i, material.z);
+}
+
+// Backward of layer_product: opens F' = dY - V2, the step's only backward
+// open, then returns the shares of dW = X^T x dY on (E^T, F', Z_dw) and of
+// dX = dY x W^T on (F', F^T, Z_dx).
+std::pair<MatrixF, MatrixF> layer_grads(mpc::PartyContext& ctx,
+                                        const MatrixF& x_i, const MatrixF& w_i,
+                                        const MatrixF& dy_i,
+                                        const mpc::LayerShare& material,
+                                        const mpc::Reconstructed& ef,
+                                        std::uint64_t key) {
+  MatrixF f_dy = mpc::open_operand(ctx, dy_i, material.v2,
+                                   seq_tag(ctx, mpc::tags::kExchangeF), key);
+  MatrixF dw = mpc::compute_ci(ctx, {tensor::transpose(ef.e), f_dy},
+                               tensor::transpose(x_i), dy_i, material.z_dw);
+  MatrixF dx =
+      mpc::compute_ci(ctx, {std::move(f_dy), tensor::transpose(ef.f)}, dy_i,
+                      tensor::transpose(w_i), material.z_dx);
+  return {std::move(dw), std::move(dx)};
+}
+
 }  // namespace
 
 // ---- SecureDense ------------------------------------------------------------
@@ -38,68 +70,23 @@ SecureDense::SecureDense(MatrixF w_share, MatrixF b_share)
 
 void SecureDense::plan(std::vector<mpc::TripletSpec>& specs,
                        std::size_t batch, bool training) const {
-  const std::size_t in = w_.rows(), out = w_.cols();
-  // Consumption order in forward(): Y = X x W, then the staged backward
-  // triplets for dW = X^T x dY and dX = dY x W^T.
-  specs.push_back({mpc::TripletKind::kMatMul, batch, in, out});
-  if (training) {
-    specs.push_back({mpc::TripletKind::kMatMul, in, batch, out});
-    specs.push_back({mpc::TripletKind::kMatMul, batch, out, in});
-  }
+  specs.push_back({training ? mpc::TripletKind::kLayer
+                            : mpc::TripletKind::kMatMul,
+                   batch, w_.rows(), w_.cols()});
 }
 
 MatrixF SecureDense::forward(SecureEnv& env, const MatrixF& x_i) {
   auto& ctx = *env.ctx;
   PSML_REQUIRE(x_i.cols() == w_.rows(), "SecureDense: input width mismatch");
 
-  const mpc::TripletShare t_f = ctx.triplets().pop_matmul();
-  MatrixF y = mpc::secure_matmul(ctx, x_i, w_, t_f,
-                                 skey(ctx, layer_id_, kPhaseForward, 0));
+  MatrixF y = layer_product(env, x_i, w_, material_, ef_,
+                            skey(ctx, layer_id_, kPhaseForward, 0));
   // Bias add is linear in the shares: purely local.
   for (std::size_t r = 0; r < y.rows(); ++r) {
     float* row = y.data() + r * y.cols();
     for (std::size_t c = 0; c < y.cols(); ++c) row[c] += b_(0, c);
   }
-
-  if (!env.training) return y;
-
-  // Stage the backward pass.
-  t_dw_ = ctx.triplets().pop_matmul();
-  t_dx_ = ctx.triplets().pop_matmul();
-  x_cache_ = x_i;
-
-  tag_e_dw_ = seq_tag(ctx, mpc::tags::kExchangeE);
-  tag_f_dx_ = seq_tag(ctx, mpc::tags::kExchangeF);
-  tag_f_dw_ = seq_tag(ctx, mpc::tags::kExchangeF);
-  tag_e_dx_ = seq_tag(ctx, mpc::tags::kExchangeE);
-
-  // Fig. 6: the gradient-independent halves of the backward reconstruct
-  // become engine ops now, overlapping later layers' GPU operations when the
-  // pipeline is on. Each writes its result var plus the engine's comm var —
-  // the comm chain is what serializes all engine channel ops in push order,
-  // so both servers' message sequences stay aligned. Tags/keys were reserved
-  // above, on this thread, before the ops were pushed.
-  auto& eng = ctx.engine();
-  auto* self = this;
-  auto* pctx = &ctx;
-  v_e_dw_ = eng.new_var("dense.e_dw");
-  v_f_dx_ = eng.new_var("dense.f_dx");
-  eng.push(
-      [self, pctx] {
-        self->early_e_dw_ = mpc::open_operand(
-            *pctx, tensor::transpose(self->x_cache_), self->t_dw_.u,
-            self->tag_e_dw_, skey(*pctx, self->layer_id_, kPhaseBackward, 0));
-      },
-      {}, {v_e_dw_, eng.comm_var()}, ctx.staged_comm_exec(),
-      "dense.open.e_dw");
-  eng.push(
-      [self, pctx] {
-        self->early_f_dx_ = mpc::open_operand(
-            *pctx, tensor::transpose(self->w_), self->t_dx_.v,
-            self->tag_f_dx_, skey(*pctx, self->layer_id_, kPhaseBackward, 1));
-      },
-      {}, {v_f_dx_, eng.comm_var()}, ctx.staged_comm_exec(),
-      "dense.open.f_dx");
+  if (env.training) x_cache_ = x_i;
   return y;
 }
 
@@ -107,17 +94,10 @@ MatrixF SecureDense::backward(SecureEnv& env, const MatrixF& dy_i) {
   auto& ctx = *env.ctx;
   PSML_REQUIRE(dy_i.cols() == w_.cols(), "SecureDense: grad width mismatch");
 
-  const MatrixF xt = tensor::transpose(x_cache_);
-  const MatrixF wt = tensor::transpose(w_);
-
-  // dW = X^T x dY.
-  ctx.engine().wait(v_e_dw_);
-  MatrixF f_dw = mpc::open_operand(ctx, dy_i, t_dw_.v, tag_f_dw_,
-                                   skey(ctx, layer_id_, kPhaseBackward, 2));
-  dw_ = mpc::compute_ci(ctx, {std::move(early_e_dw_), std::move(f_dw)}, xt,
-                        dy_i, t_dw_);
+  auto [dw, dx] = layer_grads(ctx, x_cache_, w_, dy_i, material_, ef_,
+                              skey(ctx, layer_id_, kPhaseBackward, 0));
   // Keep weight-share magnitudes at the mask scale (see refresh_share docs).
-  dw_ = mpc::refresh_share(ctx, dw_);
+  dw_ = mpc::refresh_share(ctx, dw);
   // db = 1^T x dY: linear, local on shares (refreshed like dW — dY shares
   // can carry large magnitudes).
   MatrixF db_batch(1, dy_i.cols(), 0.0f);
@@ -127,13 +107,7 @@ MatrixF SecureDense::backward(SecureEnv& env, const MatrixF& dy_i) {
   }
   db_batch = mpc::refresh_share(ctx, db_batch);
   tensor::add(db_, db_batch, db_);
-
-  // dX = dY x W^T.
-  MatrixF e_dx = mpc::open_operand(ctx, dy_i, t_dx_.u, tag_e_dx_,
-                                   skey(ctx, layer_id_, kPhaseBackward, 3));
-  ctx.engine().wait(v_f_dx_);
-  return mpc::compute_ci(ctx, {std::move(e_dx), std::move(early_f_dx_)},
-                         dy_i, wt, t_dx_);
+  return std::move(dx);
 }
 
 void SecureDense::update(float lr) {
@@ -180,14 +154,10 @@ SecureConv2D::SecureConv2D(tensor::ConvShape shape, MatrixF w_share)
 
 void SecureConv2D::plan(std::vector<mpc::TripletSpec>& specs,
                         std::size_t batch, bool training) const {
-  const std::size_t pr = shape_.patch_rows(batch);
-  const std::size_t pc = shape_.patch_cols();
-  const std::size_t oc = shape_.out_c;
-  specs.push_back({mpc::TripletKind::kMatMul, pr, pc, oc});  // forward
-  if (training) {
-    specs.push_back({mpc::TripletKind::kMatMul, pc, pr, oc});  // dW
-    specs.push_back({mpc::TripletKind::kMatMul, pr, oc, pc});  // dPatches
-  }
+  specs.push_back({training ? mpc::TripletKind::kLayer
+                            : mpc::TripletKind::kMatMul,
+                   shape_.patch_rows(batch), shape_.patch_cols(),
+                   shape_.out_c});
 }
 
 MatrixF SecureConv2D::forward(SecureEnv& env, const MatrixF& x_i) {
@@ -196,15 +166,8 @@ MatrixF SecureConv2D::forward(SecureEnv& env, const MatrixF& x_i) {
   // im2col is a linear rearrangement: applying it to a share yields a share
   // of the lowered matrix, so each server lowers locally.
   patches_cache_ = tensor::im2col(x_i, shape_);
-
-  const mpc::TripletShare t_f = ctx.triplets().pop_matmul();
-  MatrixF flat =
-      mpc::secure_matmul(ctx, patches_cache_, w_, t_f,
-                         skey(ctx, layer_id_, kPhaseForward, 0));
-  if (env.training) {
-    t_dw_ = ctx.triplets().pop_matmul();
-    t_dx_ = ctx.triplets().pop_matmul();
-  }
+  const MatrixF flat = layer_product(env, patches_cache_, w_, material_, ef_,
+                                     skey(ctx, layer_id_, kPhaseForward, 0));
 
   // Rearrange (batch*oh*ow) x out_c into channel-major feature maps.
   const std::size_t spatial = shape_.out_h() * shape_.out_w();
@@ -236,12 +199,10 @@ MatrixF SecureConv2D::backward(SecureEnv& env, const MatrixF& dy_i) {
     }
   }
 
-  dw_ = mpc::secure_matmul(ctx, tensor::transpose(patches_cache_), flat,
-                           t_dw_, skey(ctx, layer_id_, kPhaseBackward, 0));
-  dw_ = mpc::refresh_share(ctx, dw_);
-  MatrixF dpatches =
-      mpc::secure_matmul(ctx, flat, tensor::transpose(w_), t_dx_,
-                         skey(ctx, layer_id_, kPhaseBackward, 1));
+  auto [dw, dpatches] =
+      layer_grads(ctx, patches_cache_, w_, flat, material_, ef_,
+                  skey(ctx, layer_id_, kPhaseBackward, 0));
+  dw_ = mpc::refresh_share(ctx, dw);
   return tensor::col2im(dpatches, shape_, batch_cache_);
 }
 

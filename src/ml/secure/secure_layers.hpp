@@ -1,15 +1,15 @@
 // Secure layers: each server holds additive shares of the activations and
 // parameters and runs the triplet protocols of src/mpc per layer.
 //
-// Pipeline support (paper Sec. 4.3, Fig. 6): a layer's backward pass needs
-// two secure matmuls — dW = X^T x dY and dX = dY x W^T. The operands X^T and
-// W^T are known the moment forward() finishes, so their halves of the
-// reconstruct step (open X^T - U, open W^T - V) are pushed onto the party's
-// dependency engine *during the forward pass*. With the pipeline on they
-// run on the engine's lane, overlapping with the GPU operations of later
-// layers; with it off they run inline at push (PartyContext::
-// staged_comm_exec). Only the gradient-dependent halves remain in
-// backward(), which waits on the staged ops' result vars.
+// Each operand is opened once per training step. A training dense or conv
+// layer multiplies three times — Y = X x W, dW = X^T x dY, dX = dY x W^T —
+// and draws one kLayer material (mpc::LayerShare) for all three. forward()
+// opens E = X - U and F = W - V and keeps them; backward() opens only
+// F' = dY - V2, then runs dW on (E^T, F', Z_dw) and dX on (F', F^T, Z_dx)
+// through mpc::compute_ci (docs/PROTOCOL.md §5). Every channel op runs on
+// the training thread in program order, so the parties' message sequences
+// mirror with the pipeline on or off. Inference draws one kMatMul triplet
+// per layer and runs the plain secure matmul.
 #pragma once
 
 #include <memory>
@@ -28,13 +28,12 @@ namespace psml::ml {
 // Per-party execution environment handed to every secure layer call.
 struct SecureEnv {
   mpc::PartyContext* ctx = nullptr;
-  // Inference runs forward-only: backward triplets are neither planned nor
-  // consumed when this is false.
+  // Inference runs forward-only: layers plan and consume forward triplets
+  // only when this is false.
   bool training = true;
-  // Read by no library code: layers, the step barrier and recovery always
-  // use ctx->engine(), and the party's pipeline option alone picks the
-  // schedule (PartyContext::staged_comm_exec). The field stays only because
-  // the bench/e2e harness names it.
+  // Read by no library code: the step barrier and recovery always use
+  // ctx->engine(). The field stays only because the bench/e2e harness names
+  // it.
   pipeline::DepEngine* engine = nullptr;
 };
 
@@ -90,17 +89,10 @@ class SecureDense : public SecureLayer {
   MatrixF dw_;  // share of dW
   MatrixF db_;
 
-  // Backward-pass state staged by forward().
+  // Backward-pass state kept by a training forward().
   MatrixF x_cache_;
-  mpc::TripletShare t_dw_, t_dx_;
-  MatrixF early_e_dw_;  // opened X^T - U of the dW matmul (engine-staged)
-  MatrixF early_f_dx_;  // opened W^T - V of the dX matmul (engine-staged)
-  // Result vars of the staged opens; backward() waits on them before
-  // reading the matrices above (completion publishes the writes).
-  pipeline::VarHandle v_e_dw_, v_f_dx_;
-  // Tags reserved at forward (schedule) time for all four backward halves so
-  // both servers' tag sequences agree regardless of pipeline interleaving.
-  net::Tag tag_e_dw_ = 0, tag_f_dw_ = 0, tag_e_dx_ = 0, tag_f_dx_ = 0;
+  mpc::LayerShare material_;
+  mpc::Reconstructed ef_;  // opened E = X - U, F = W - V
 };
 
 // Eq. 9 activation via the masked-comparison protocol.
@@ -143,7 +135,8 @@ class SecureConv2D : public SecureLayer {
   MatrixF dw_;
   MatrixF patches_cache_;
   std::size_t batch_cache_ = 0;
-  mpc::TripletShare t_dw_, t_dx_;
+  mpc::LayerShare material_;
+  mpc::Reconstructed ef_;  // opened E = patches - U, F = W - V
 };
 
 // Elman RNN on shares, mirroring ml::RnnLayer: every product is a triplet

@@ -98,7 +98,7 @@ void secure_train_batch(SecureEnv& env, SecureSequential& model,
   PSML_CRASH_POINT("train.mid-step");
   const MatrixF grad = secure_loss_grad(env, loss, pred, y_i);
   model.backward(env, grad);
-  // Engine barrier at the step boundary: every staged op has completed (and
+  // Engine barrier at the step boundary: every engine op has completed (and
   // any op failure rethrows typed here) before parameters move, so the
   // snapshot-rewind recovery points stay well-defined.
   env.ctx->engine().wait_all();

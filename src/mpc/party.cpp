@@ -23,11 +23,6 @@ PartyContext::PartyContext(int party_id, std::shared_ptr<net::Channel> peer,
   }
 }
 
-pipeline::Exec PartyContext::staged_comm_exec() const {
-  return opts_.use_pipeline ? pipeline::Exec::lane()
-                            : pipeline::Exec::inline_thread();
-}
-
 sgpu::Stream& PartyContext::upload_stream() {
   return opts_.use_pipeline ? copy_stream() : compute_stream();
 }

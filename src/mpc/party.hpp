@@ -20,12 +20,16 @@
 
 namespace psml::mpc {
 
-// Execution-mode toggles. Defaults are full ParSecureML; SecureML baseline
-// is `secureml_baseline()`.
+// Execution-mode toggles. Defaults are full ParSecureML except Tensor-Core
+// rounding; SecureML baseline is `secureml_baseline()`.
 struct PartyOptions {
   bool use_gpu = true;          // online Eq. 8 on the device
-  bool use_pipeline = true;     // Fig. 5/6 overlap; only PartyContext reads it
-  bool use_tensor_core = true;  // fp16-operand device GEMMs (Sec. 5.2)
+  bool use_pipeline = true;     // Fig. 5 overlap; only PartyContext reads it
+  // fp16-operand device GEMMs (Sec. 5.2). Off by default: rounding share
+  // operands to binary16 loses about |share| * 2^-11 per element, so with it
+  // on, where the adaptive dispatcher places a GEMM would change the trained
+  // model (docs/ANALYSIS.md §6.3). Fig. 15 turns it on explicitly.
+  bool use_tensor_core = false;
   bool use_compression = true;  // delta-CSR E/F exchange (Sec. 4.4)
   double compression_threshold = 0.75;  // min zero fraction for CSR deltas
   bool fuse_eq8 = true;         // Eq. 8 fused form vs Eq. 6 three-product form
@@ -80,22 +84,19 @@ class PartyContext {
   void set_triplets(TripletStore store) { triplets_ = std::move(store); }
 
   // This party's dependency engine (pipeline/dep_engine.hpp). The online
-  // phase pushes its op graphs here — device transfers/kernels onto the
-  // party's streams, staged opens onto staged_comm_exec() — and barriers
-  // with wait_all()/drain() at step boundaries. One engine per party; its
-  // comm_var() chain is what keeps the two servers' message sequences
-  // aligned (see docs/ANALYSIS.md §12).
+  // phase pushes its device graphs here — transfers and kernels onto the
+  // party's streams — and barriers with wait_all()/drain() at step
+  // boundaries. One engine per party. No engine op touches the channel:
+  // every send and recv runs on the training thread in program order, so
+  // the two servers' message sequences mirror in every mode (see
+  // docs/ANALYSIS.md §12).
   pipeline::DepEngine& engine() { return engine_; }
 
-  // The two places use_pipeline (the Fig. 5/6 ablation) changes the
-  // schedule; nothing else reads the flag. Both modes push the same graph.
-  //   staged_comm_exec(): executor for the comm ops layers stage during
-  //     forward — the engine's lane when on (the opens overlap later
-  //     layers), the pushing thread when off (each runs inline at push).
-  //   upload_stream(): stream for secure_matmul's H2D uploads — the copy
-  //     stream when on (uploads overlap kernels), the compute stream when
-  //     off (uploads and kernels run in line).
-  pipeline::Exec staged_comm_exec() const;
+  // The one place use_pipeline (the Fig. 5 ablation) changes the schedule;
+  // nothing else reads the flag. Both modes push the same graph.
+  // upload_stream() is the stream for secure_matmul's H2D uploads — the
+  // copy stream when on (uploads overlap kernels), the compute stream when
+  // off (uploads and kernels run in line).
   sgpu::Stream& upload_stream();
 
   // Per-op monotonically increasing sequence; both servers run the same op

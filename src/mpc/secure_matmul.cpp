@@ -217,10 +217,8 @@ Reconstructed reconstruct_ef(PartyContext& ctx, const MatrixF& a_i,
   {
     profile::ScopedPhase sp(prof, "online.communicate");
     // E and F travel coalesced in one frame per direction (halving the
-    // per-step round-trip count). The tag stays on the kExchangeE sequence so
-    // the Fig. 6 pipeline and resilient-training resync keep their numbering;
-    // each half keeps its own compression stream key (key^1 / key^2) exactly
-    // as the former split sends did.
+    // per-step round-trip count), tagged on the kExchangeE sequence; each
+    // half keeps its own compression stream key (key^1 / key^2).
     const net::Tag te = tags::kExchangeE + (seq & 0x00ffffffu);
     auto [e_peer, f_peer] = exchange_pair(ctx, te, key ^ 0x1, e_i, key ^ 0x2, f_i);
     if (o.cpu_parallel) {
@@ -235,8 +233,7 @@ Reconstructed reconstruct_ef(PartyContext& ctx, const MatrixF& a_i,
 }
 
 MatrixF compute_ci(PartyContext& ctx, const Reconstructed& ef,
-                   const MatrixF& a_i, const MatrixF& b_i,
-                   const TripletShare& triplet) {
+                   const MatrixF& a_i, const MatrixF& b_i, const MatrixF& z_i) {
   auto& prof = profile::Profiler::global();
   profile::ScopedPhase sp(prof, "online.compute2");
   const auto& o = ctx.options();
@@ -250,13 +247,13 @@ MatrixF compute_ci(PartyContext& ctx, const Reconstructed& ef,
     on_gpu = d.use_gpu;
   }
   if (on_gpu) {
-    return compute_ci_gpu(ctx, ef.e, ef.f, a_i, b_i, triplet.z);
+    return compute_ci_gpu(ctx, ef.e, ef.f, a_i, b_i, z_i);
   }
-  return compute_ci_cpu(ctx, ef.e, ef.f, a_i, b_i, triplet.z);
+  return compute_ci_cpu(ctx, ef.e, ef.f, a_i, b_i, z_i);
 }
 
 MatrixF open_operand(PartyContext& ctx, const MatrixF& share,
-                     const MatrixF& mask_share, net::Tag tag,
+                     PSML_SECRET const MatrixF& mask_share, net::Tag tag,
                      std::uint64_t comm_key) {
   PSML_REQUIRE(share.same_shape(mask_share),
                "open_operand: mask shape mismatch");
@@ -281,7 +278,7 @@ MatrixF secure_matmul(PartyContext& ctx, const MatrixF& a_i,
                       const MatrixF& b_i, const TripletShare& triplet,
                       std::uint64_t comm_key) {
   const Reconstructed ef = reconstruct_ef(ctx, a_i, b_i, triplet, comm_key);
-  return compute_ci(ctx, ef, a_i, b_i, triplet);
+  return compute_ci(ctx, ef, a_i, b_i, triplet.z);
 }
 
 namespace {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 
+#include "common/taint.hpp"
 #include "mpc/party.hpp"
 #include "tensor/matrix.hpp"
 
@@ -36,8 +37,9 @@ MatrixF secure_matmul(PartyContext& ctx, const MatrixF& a_i,
 MatrixF secure_matmul(PartyContext& ctx, const MatrixF& a_i,
                       const MatrixF& b_i, std::uint64_t comm_key = 0);
 
-// The reconstruct step alone (E, F from shares): exposed for the layer-level
-// pipeline, which interleaves reconstructs and GPU ops across layers.
+// The reconstruct step alone (E, F from shares): exposed for the secure
+// layers, which keep a training step's forward E and F for its backward
+// products (the kLayer material, docs/PROTOCOL.md §5).
 struct Reconstructed {
   MatrixF e, f;
 };
@@ -45,19 +47,16 @@ Reconstructed reconstruct_ef(PartyContext& ctx, const MatrixF& a_i,
                              const MatrixF& b_i, const TripletShare& triplet,
                              std::uint64_t comm_key);
 
-// The compute step alone, given reconstructed E/F.
+// The compute step alone, given reconstructed E/F and the share Z_i of the
+// masks' product: C_i of Eq. 6 / Eq. 8.
 MatrixF compute_ci(PartyContext& ctx, const Reconstructed& ef,
-                   const MatrixF& a_i, const MatrixF& b_i,
-                   const TripletShare& triplet);
+                   const MatrixF& a_i, const MatrixF& b_i, const MatrixF& z_i);
 
-// Half-reconstruct for the Fig. 6 layer pipeline: opens one masked operand
-// (X - U). The backward pass of a layer needs two matmuls whose *known*
-// operands (the forward input, the weights) can be opened as soon as forward
-// completes, while the gradient-dependent operands must wait — this function
-// is the early half. `tag` must be drawn from ctx.next_seq() at schedule
-// time so both servers' tag sequences agree.
+// Opens one masked operand: both parties exchange share - mask_share and
+// sum. A layer's backward pass opens F' = dY - V2 with it. `tag` must be
+// drawn from ctx.next_seq() so both servers' tag sequences agree.
 MatrixF open_operand(PartyContext& ctx, const MatrixF& share_minus_mask_of,
-                     const MatrixF& mask_share, net::Tag tag,
+                     PSML_SECRET const MatrixF& mask_share, net::Tag tag,
                      std::uint64_t comm_key);
 
 // Share refresh for the float-share mode. Composed Beaver multiplications

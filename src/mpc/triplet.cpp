@@ -2,6 +2,7 @@
 
 #include "sgpu/ops.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/ops.hpp"
 
 namespace psml::mpc {
 
@@ -26,9 +27,7 @@ void TripletStore::set_recycle(bool recycle) {
   PSML_CHECK_MSG(!(recycle && retain_),
                  "TripletStore: recycle and retain are mutually exclusive");
   recycle_ = recycle;
-  matmul_cursor_ = 0;
-  elem_cursor_ = 0;
-  act_cursor_ = 0;
+  cursor_ = Mark{};
 }
 
 void TripletStore::set_retain(bool retain) {
@@ -40,87 +39,68 @@ void TripletStore::set_retain(bool retain) {
   PSML_CHECK_MSG(!(retain && recycle_),
                  "TripletStore: recycle and retain are mutually exclusive");
   retain_ = retain;
-  matmul_cursor_ = 0;
-  elem_cursor_ = 0;
-  act_cursor_ = 0;
+  cursor_ = Mark{};
 }
 
 TripletStore::Mark TripletStore::mark() const {
   PSML_CHECK_MSG(retain_ || recycle_,
                  "TripletStore::mark needs retain or recycle mode");
-  return Mark{matmul_cursor_, elem_cursor_, act_cursor_};
+  return cursor_;
 }
 
 void TripletStore::rewind(const Mark& mark) {
   PSML_CHECK_MSG(retain_ || recycle_,
                  "TripletStore::rewind needs retain or recycle mode");
-  matmul_cursor_ = mark.matmul;
-  elem_cursor_ = mark.elem;
-  act_cursor_ = mark.act;
+  cursor_ = mark;
+}
+
+template <class T>
+T TripletStore::pop(std::deque<T>& q, std::size_t& cursor, const char* what) {
+  PSML_CHECK_MSG(!q.empty(), what);
+  popped_ = true;
+  if (recycle_) {
+    T t = q[cursor];
+    cursor = (cursor + 1) % q.size();
+    return t;
+  }
+  if (retain_) {
+    PSML_CHECK_MSG(cursor < q.size(), what);
+    return q[cursor++];
+  }
+  T t = std::move(q.front());
+  q.pop_front();
+  return t;
 }
 
 TripletShare TripletStore::pop_matmul() {
-  PSML_CHECK_MSG(!matmul_.empty(), "offline matmul triplets exhausted");
-  popped_ = true;
-  if (recycle_) {
-    TripletShare t = matmul_[matmul_cursor_];
-    matmul_cursor_ = (matmul_cursor_ + 1) % matmul_.size();
-    return t;
-  }
-  if (retain_) {
-    PSML_CHECK_MSG(matmul_cursor_ < matmul_.size(),
-                   "offline matmul triplets exhausted");
-    return matmul_[matmul_cursor_++];
-  }
-  TripletShare t = std::move(matmul_.front());
-  matmul_.pop_front();
-  return t;
+  return pop(matmul_, cursor_.matmul, "offline matmul triplets exhausted");
 }
 
 TripletShare TripletStore::pop_elementwise() {
-  PSML_CHECK_MSG(!elem_.empty(), "offline elementwise triplets exhausted");
-  popped_ = true;
-  if (recycle_) {
-    TripletShare t = elem_[elem_cursor_];
-    elem_cursor_ = (elem_cursor_ + 1) % elem_.size();
-    return t;
-  }
-  if (retain_) {
-    PSML_CHECK_MSG(elem_cursor_ < elem_.size(),
-                   "offline elementwise triplets exhausted");
-    return elem_[elem_cursor_++];
-  }
-  TripletShare t = std::move(elem_.front());
-  elem_.pop_front();
-  return t;
+  return pop(elem_, cursor_.elem, "offline elementwise triplets exhausted");
 }
 
 ActivationShare TripletStore::pop_activation() {
-  PSML_CHECK_MSG(!act_.empty(), "offline activation material exhausted");
-  popped_ = true;
-  if (recycle_) {
-    ActivationShare a = act_[act_cursor_];
-    act_cursor_ = (act_cursor_ + 1) % act_.size();
-    return a;
-  }
-  if (retain_) {
-    PSML_CHECK_MSG(act_cursor_ < act_.size(),
-                   "offline activation material exhausted");
-    return act_[act_cursor_++];
-  }
-  ActivationShare a = std::move(act_.front());
-  act_.pop_front();
-  return a;
+  return pop(act_, cursor_.act, "offline activation material exhausted");
+}
+
+LayerShare TripletStore::pop_layer() {
+  return pop(layer_, cursor_.layer, "offline layer material exhausted");
 }
 
 std::size_t TripletStore::bytes() const {
+  auto triplet = [](const TripletShare& t) {
+    return t.u.bytes() + t.v.bytes() + t.z.bytes();
+  };
   std::size_t total = 0;
-  for (const auto& t : matmul_) total += t.u.bytes() + t.v.bytes() + t.z.bytes();
-  for (const auto& t : elem_) total += t.u.bytes() + t.v.bytes() + t.z.bytes();
+  for (const auto& t : matmul_) total += triplet(t);
+  for (const auto& t : elem_) total += triplet(t);
   for (const auto& a : act_) {
-    total += a.t_lo.u.bytes() + a.t_lo.v.bytes() + a.t_lo.z.bytes();
-    total += a.t_hi.u.bytes() + a.t_hi.v.bytes() + a.t_hi.z.bytes();
-    total += a.s_lo.bytes() + a.s_hi.bytes();
+    total += triplet(a.t_lo) + triplet(a.t_hi) + a.s_lo.bytes() +
+             a.s_hi.bytes();
+  }
+  for (const auto& l : layer_) {
+    total += triplet(l) + l.v2.bytes() + l.z_dw.bytes() + l.z_dx.bytes();
   }
   return total;
 }
@@ -143,25 +123,24 @@ std::uint64_t TripletDealer::next_seed() {
   return seed_state_;
 }
 
+MatrixF TripletDealer::product(const MatrixF& a, const MatrixF& b) {
+  // Profiling-guided adaptive offline (Sec. 4.2): small products never
+  // amortize the device round trip, so they stay on the CPU even in GPU
+  // mode.
+  const bool big_enough = 2.0 * static_cast<double>(a.rows()) * a.cols() *
+                              b.cols() >=
+                          static_cast<double>(1 << 21);
+  if (opts_.use_gpu && big_enough) return sgpu::device_matmul(*device_, a, b);
+  if (opts_.naive_cpu) return tensor::matmul_naive(a, b);
+  return tensor::matmul(a, b);
+}
+
 std::pair<TripletShare, TripletShare> TripletDealer::make_matmul(
     std::size_t m, std::size_t k, std::size_t n) {
   MatrixF u(m, k), v(k, n);
   rng::fill_uniform_par(u, -1.0f, 1.0f, next_seed());
   rng::fill_uniform_par(v, -1.0f, 1.0f, next_seed());
-
-  MatrixF z;
-  // Profiling-guided adaptive offline (Sec. 4.2): small Z = U x V products
-  // never amortize the device round trip, so they stay on the CPU even in
-  // GPU mode.
-  const bool big_enough = 2.0 * static_cast<double>(m) * k * n >=
-                          static_cast<double>(1 << 21);
-  if (opts_.use_gpu && big_enough) {
-    z = sgpu::device_matmul(*device_, u, v);
-  } else if (opts_.naive_cpu) {
-    z = tensor::matmul_naive(u, v);
-  } else {
-    z = tensor::matmul(u, v);
-  }
+  const MatrixF z = product(u, v);
 
   auto su = share_float(u, next_seed());
   auto sv = share_float(v, next_seed());
@@ -204,6 +183,33 @@ std::pair<ActivationShare, ActivationShare> TripletDealer::make_activation(
   return {std::move(a0), std::move(a1)};
 }
 
+std::pair<LayerShare, LayerShare> TripletDealer::make_layer(std::size_t b,
+                                                            std::size_t in,
+                                                            std::size_t out) {
+  MatrixF u(b, in), v(in, out), v2(b, out);
+  rng::fill_uniform_par(u, -1.0f, 1.0f, next_seed());
+  rng::fill_uniform_par(v, -1.0f, 1.0f, next_seed());
+  rng::fill_uniform_par(v2, -1.0f, 1.0f, next_seed());
+  // The same three GEMMs as three independent triplets of these shapes.
+  const MatrixF z = product(u, v);
+  const MatrixF z_dw = product(tensor::transpose(u), v2);
+  const MatrixF z_dx = product(v2, tensor::transpose(v));
+
+  std::pair<LayerShare, LayerShare> out_pair;
+  auto split = [&](const MatrixF& x, MatrixF LayerShare::*member) {
+    auto s = share_float(x, next_seed());
+    out_pair.first.*member = std::move(s.s0);
+    out_pair.second.*member = std::move(s.s1);
+  };
+  split(u, &LayerShare::u);
+  split(v, &LayerShare::v);
+  split(v2, &LayerShare::v2);
+  split(z, &LayerShare::z);
+  split(z_dw, &LayerShare::z_dw);
+  split(z_dx, &LayerShare::z_dx);
+  return out_pair;
+}
+
 std::pair<TripletStore, TripletStore> TripletDealer::generate(
     const std::vector<TripletSpec>& plan) {
   TripletStore st0, st1;
@@ -225,6 +231,12 @@ std::pair<TripletStore, TripletStore> TripletDealer::generate(
         auto [a0, a1] = make_activation(spec.m, spec.n);
         st0.push_activation(std::move(a0));
         st1.push_activation(std::move(a1));
+        break;
+      }
+      case TripletKind::kLayer: {
+        auto [l0, l1] = make_layer(spec.m, spec.k, spec.n);
+        st0.push_layer(std::move(l0));
+        st1.push_layer(std::move(l1));
         break;
       }
     }

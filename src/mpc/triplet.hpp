@@ -10,6 +10,12 @@
 // A TripletPlan is the ordered list of triplet shapes one epoch consumes.
 // Both servers execute the same op sequence (SPMD), so consuming from a FIFO
 // TripletStore keeps them aligned with no extra coordination.
+//
+// A training dense or conv layer multiplies three times per step: Y = X x W,
+// dW = X^T x dY and dX = dY x W^T. Its kLayer material correlates the three
+// products so that each operand is opened once per step: the masks U of X
+// and V of W serve forward and both backward products, and one more mask V2
+// of dY serves both backward products (docs/PROTOCOL.md §5).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +34,7 @@ enum class TripletKind : std::uint8_t {
   kMatMul = 0,       // U(mxk), V(kxn), Z = U x V
   kElementwise = 1,  // U, V, Z = U .* V, all (mxn)
   kActivation = 2,   // two elementwise triplets + two positive masks (mxn)
+  kLayer = 3,        // training layer, m = batch, k = in, n = out (LayerShare)
 };
 
 struct TripletSpec {
@@ -42,6 +49,14 @@ struct TripletSpec {
 // One server's share of a multiplication triplet (matmul or elementwise).
 struct PSML_SECRET TripletShare {
   MatrixF u, v, z;
+};
+
+// One server's share of a training layer's correlated material. The
+// inherited (u, v, z) is the forward triplet: U (b x in), V (in x out),
+// Z = U x V. V2 (b x out) masks dY, Z_dw = U^T x V2 (in x out) serves
+// dW = X^T x dY and Z_dx = V2 x V^T (b x in) serves dX = dY x W^T.
+struct PSML_SECRET LayerShare : TripletShare {
+  MatrixF v2, z_dw, z_dx;
 };
 
 // One server's share of the activation-comparison material: Beaver triplets
@@ -66,6 +81,7 @@ class PSML_SECRET TripletStore {
   void push_matmul(TripletShare t) { matmul_.push_back(std::move(t)); }
   void push_elementwise(TripletShare t) { elem_.push_back(std::move(t)); }
   void push_activation(ActivationShare a) { act_.push_back(std::move(a)); }
+  void push_layer(LayerShare l) { layer_.push_back(std::move(l)); }
 
   // Enables epoch-cycling pops; cursors restart at the front.
   //
@@ -90,7 +106,7 @@ class PSML_SECRET TripletStore {
   // Cursor snapshot for step-level rollback. Requires retain or recycle
   // mode (consuming pops destroy the material and cannot be rewound).
   struct Mark {
-    std::size_t matmul = 0, elem = 0, act = 0;
+    std::size_t matmul = 0, elem = 0, act = 0, layer = 0;
   };
   Mark mark() const;
   void rewind(const Mark& mark);
@@ -98,11 +114,15 @@ class PSML_SECRET TripletStore {
   TripletShare pop_matmul();
   TripletShare pop_elementwise();
   ActivationShare pop_activation();
+  LayerShare pop_layer();
 
-  bool empty() const { return matmul_.empty() && elem_.empty() && act_.empty(); }
+  bool empty() const {
+    return matmul_.empty() && elem_.empty() && act_.empty() && layer_.empty();
+  }
   std::size_t matmul_size() const { return matmul_.size(); }
   std::size_t elementwise_size() const { return elem_.size(); }
   std::size_t activation_size() const { return act_.size(); }
+  std::size_t layer_size() const { return layer_.size(); }
 
   // Total bytes of offline material held (what the client must transmit).
   std::size_t bytes() const;
@@ -111,17 +131,21 @@ class PSML_SECRET TripletStore {
   const std::deque<TripletShare>& matmuls() const { return matmul_; }
   const std::deque<TripletShare>& elementwises() const { return elem_; }
   const std::deque<ActivationShare>& activations() const { return act_; }
+  const std::deque<LayerShare>& layers() const { return layer_; }
 
  private:
+  // The one pop of every kind: consume, retain or recycle per the mode.
+  template <class T>
+  T pop(std::deque<T>& q, std::size_t& cursor, const char* what);
+
   std::deque<TripletShare> matmul_;
   std::deque<TripletShare> elem_;
   std::deque<ActivationShare> act_;
+  std::deque<LayerShare> layer_;
   bool recycle_ = false;
   bool retain_ = false;
   bool popped_ = false;  // any pop seen — mode switches are rejected after
-  std::size_t matmul_cursor_ = 0;
-  std::size_t elem_cursor_ = 0;
-  std::size_t act_cursor_ = 0;
+  Mark cursor_;
 };
 
 struct DealerOptions {
@@ -148,6 +172,10 @@ class TripletDealer {
                                                          std::size_t n);
   std::pair<ActivationShare, ActivationShare> make_activation(std::size_t m,
                                                               std::size_t n);
+  // Correlated material of one training layer with batch b, input width
+  // `in` and output width `out`: three masks and their three products.
+  std::pair<LayerShare, LayerShare> make_layer(std::size_t b, std::size_t in,
+                                               std::size_t out);
 
   // Generates a whole plan into per-server stores.
   std::pair<TripletStore, TripletStore> generate(
@@ -155,6 +183,8 @@ class TripletDealer {
 
  private:
   std::uint64_t next_seed();
+  // a x b on the configured engine (device from 2^21 flops up in GPU mode).
+  MatrixF product(const MatrixF& a, const MatrixF& b);
 
   sgpu::Device* device_;  // may be null when use_gpu is false
   DealerOptions opts_;

@@ -159,21 +159,22 @@ void TripletFactory::wait_ready(net::Deadline deadline) {
   if (stopping_) throw ShutdownError("TripletFactory: stopped");
 }
 
-TripletPair TripletFactory::acquire(const TripletSpec& spec,
-                                    net::Deadline deadline) {
-  PSML_REQUIRE(spec.kind != TripletKind::kActivation,
-               "factory: activation specs use acquire_activation");
+template <class Pair>
+Pair TripletFactory::acquire_from(std::deque<Pair> Pool::*queue,
+                                  const TripletSpec& spec,
+                                  net::Deadline deadline) {
   bool waited = false;
-  TripletPair out;
+  Pair out;
   bool submit_self = false;
   {
     sync::MutexLock lock(mutex_);
     for (;;) {
       if (stopping_) throw ShutdownError("TripletFactory: stopped");
       Pool& p = pools_[spec];
-      if (!p.pairs.empty()) {
-        out = std::move(p.pairs.front());
-        p.pairs.pop_front();
+      std::deque<Pair>& q = p.*queue;
+      if (!q.empty()) {
+        out = std::move(q.front());
+        q.pop_front();
         if (p.reserved > 0) --p.reserved;
         acquired_.fetch_add(1, std::memory_order_relaxed);
         // Watermark: a pop that leaves the pool strictly below
@@ -200,7 +201,7 @@ TripletPair TripletFactory::acquire(const TripletSpec& spec,
                  std::cv_status::timeout) {
         // Deadline hit — but material racing in right at the wire still
         // wins (same last-chance re-check as the channel recv paths).
-        if (!pools_[spec].pairs.empty()) continue;
+        if (!(pools_[spec].*queue).empty()) continue;
         timeouts_.fetch_add(1, std::memory_order_relaxed);
         throw TimeoutError("TripletFactory: acquire deadline expired (pool " +
                            pool_file_name(spec) + " empty)");
@@ -209,101 +210,67 @@ TripletPair TripletFactory::acquire(const TripletSpec& spec,
   }
   if (submit_self) submit_refill(spec);
   return out;
+}
+
+template <class Pair>
+std::optional<Pair> TripletFactory::try_acquire_from(
+    std::deque<Pair> Pool::*queue, const TripletSpec& spec) {
+  std::optional<Pair> out;
+  bool submit = false;
+  {
+    sync::MutexLock lock(mutex_);
+    if (stopping_) return std::nullopt;
+    Pool& p = pools_[spec];
+    std::deque<Pair>& q = p.*queue;
+    if (!q.empty()) {
+      out.emplace(std::move(q.front()));
+      q.pop_front();
+      if (p.reserved > 0) --p.reserved;
+      acquired_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (pool_depth(p) < opts_.low_watermark + p.reserved || q.empty()) {
+      submit = schedule_refill(spec, p);
+    }
+  }
+  if (submit) submit_refill(spec);
+  return out;
+}
+
+TripletPair TripletFactory::acquire(const TripletSpec& spec,
+                                    net::Deadline deadline) {
+  PSML_REQUIRE(spec.kind == TripletKind::kMatMul ||
+                   spec.kind == TripletKind::kElementwise,
+               "factory: activation and layer specs have their own acquire");
+  return acquire_from(&Pool::pairs, spec, deadline);
 }
 
 ActivationPair TripletFactory::acquire_activation(const TripletSpec& spec,
                                                   net::Deadline deadline) {
   PSML_REQUIRE(spec.kind == TripletKind::kActivation,
                "factory: acquire_activation needs a kActivation spec");
-  bool waited = false;
-  ActivationPair out;
-  bool submit_self = false;
-  {
-    sync::MutexLock lock(mutex_);
-    for (;;) {
-      if (stopping_) throw ShutdownError("TripletFactory: stopped");
-      Pool& p = pools_[spec];
-      if (!p.acts.empty()) {
-        out = std::move(p.acts.front());
-        p.acts.pop_front();
-        if (p.reserved > 0) --p.reserved;
-        acquired_.fetch_add(1, std::memory_order_relaxed);
-        if (pool_depth(p) < opts_.low_watermark + p.reserved) {
-          submit_self = schedule_refill(spec, p);
-        }
-        break;
-      }
-      if (schedule_refill(spec, p)) {
-        lock.unlock();
-        submit_refill(spec);
-        lock.lock();
-        continue;
-      }
-      if (!waited) {
-        waited = true;
-        starvation_events_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (deadline == net::kNoDeadline) {
-        cv_.wait(lock.native());
-      } else if (cv_.wait_until(lock.native(), deadline) ==
-                 std::cv_status::timeout) {
-        if (!pools_[spec].acts.empty()) continue;
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        throw TimeoutError("TripletFactory: acquire deadline expired (pool " +
-                           pool_file_name(spec) + " empty)");
-      }
-    }
-  }
-  if (submit_self) submit_refill(spec);
-  return out;
+  return acquire_from(&Pool::acts, spec, deadline);
+}
+
+LayerPair TripletFactory::acquire_layer(const TripletSpec& spec,
+                                        net::Deadline deadline) {
+  PSML_REQUIRE(spec.kind == TripletKind::kLayer,
+               "factory: acquire_layer needs a kLayer spec");
+  return acquire_from(&Pool::layers, spec, deadline);
 }
 
 std::optional<TripletPair> TripletFactory::try_acquire(
     const TripletSpec& spec) {
-  PSML_REQUIRE(spec.kind != TripletKind::kActivation,
-               "factory: activation specs use try_acquire_activation");
-  std::optional<TripletPair> out;
-  bool submit = false;
-  {
-    sync::MutexLock lock(mutex_);
-    if (stopping_) return std::nullopt;
-    Pool& p = pools_[spec];
-    if (!p.pairs.empty()) {
-      out.emplace(std::move(p.pairs.front()));
-      p.pairs.pop_front();
-      if (p.reserved > 0) --p.reserved;
-      acquired_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (pool_depth(p) < opts_.low_watermark + p.reserved || p.pairs.empty()) {
-      submit = schedule_refill(spec, p);
-    }
-  }
-  if (submit) submit_refill(spec);
-  return out;
+  PSML_REQUIRE(spec.kind == TripletKind::kMatMul ||
+                   spec.kind == TripletKind::kElementwise,
+               "factory: activation and layer specs have their own pops");
+  return try_acquire_from(&Pool::pairs, spec);
 }
 
 std::optional<ActivationPair> TripletFactory::try_acquire_activation(
     const TripletSpec& spec) {
   PSML_REQUIRE(spec.kind == TripletKind::kActivation,
                "factory: try_acquire_activation needs a kActivation spec");
-  std::optional<ActivationPair> out;
-  bool submit = false;
-  {
-    sync::MutexLock lock(mutex_);
-    if (stopping_) return std::nullopt;
-    Pool& p = pools_[spec];
-    if (!p.acts.empty()) {
-      out.emplace(std::move(p.acts.front()));
-      p.acts.pop_front();
-      if (p.reserved > 0) --p.reserved;
-      acquired_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (pool_depth(p) < opts_.low_watermark + p.reserved || p.acts.empty()) {
-      submit = schedule_refill(spec, p);
-    }
-  }
-  if (submit) submit_refill(spec);
-  return out;
+  return try_acquire_from(&Pool::acts, spec);
 }
 
 void TripletFactory::fill_stores(const std::vector<TripletSpec>& plan,
@@ -327,6 +294,12 @@ void TripletFactory::fill_stores(const std::vector<TripletSpec>& plan,
         ActivationPair pair = acquire_activation(spec, deadline);
         st0.push_activation(std::move(pair.s0));
         st1.push_activation(std::move(pair.s1));
+        break;
+      }
+      case TripletKind::kLayer: {
+        LayerPair pair = acquire_layer(spec, deadline);
+        st0.push_layer(std::move(pair.s0));
+        st1.push_layer(std::move(pair.s1));
         break;
       }
     }
@@ -383,6 +356,7 @@ void TripletFactory::refill_task(TripletSpec spec) {
                                                 task_seed(spec)});
     std::vector<TripletPair> pairs;
     std::vector<ActivationPair> acts;
+    std::vector<LayerPair> layers;
     for (std::size_t i = 0; i < want; ++i) {
       switch (spec.kind) {
         case TripletKind::kMatMul: {
@@ -400,6 +374,11 @@ void TripletFactory::refill_task(TripletSpec spec) {
           acts.push_back(ActivationPair{std::move(a0), std::move(a1)});
           break;
         }
+        case TripletKind::kLayer: {
+          auto [l0, l1] = dealer.make_layer(spec.m, spec.k, spec.n);
+          layers.push_back(LayerPair{std::move(l0), std::move(l1)});
+          break;
+        }
       }
     }
 
@@ -408,6 +387,7 @@ void TripletFactory::refill_task(TripletSpec spec) {
       Pool& p = pools_[spec];
       for (auto& pair : pairs) p.pairs.push_back(std::move(pair));
       for (auto& act : acts) p.acts.push_back(std::move(act));
+      for (auto& layer : layers) p.layers.push_back(std::move(layer));
     }
     produced_.fetch_add(want, std::memory_order_relaxed);
     cv_.notify_all();
@@ -443,6 +423,10 @@ void TripletFactory::save(const std::string& dir) const {
       for (const ActivationPair& act : p.acts) {
         f.s0.push_activation(act.s0);
         f.s1.push_activation(act.s1);
+      }
+      for (const LayerPair& layer : p.layers) {
+        f.s0.push_layer(layer.s0);
+        f.s1.push_layer(layer.s1);
       }
       snapshot.push_back(std::move(f));
     }
@@ -501,6 +485,12 @@ std::size_t TripletFactory::load(const std::string& dir) {
         for (std::size_t i = 0; i < count; ++i) {
           p.acts.push_back(
               ActivationPair{f.s0.pop_activation(), f.s1.pop_activation()});
+        }
+        break;
+      case TripletKind::kLayer:
+        count = f.s0.layer_size();
+        for (std::size_t i = 0; i < count; ++i) {
+          p.layers.push_back(LayerPair{f.s0.pop_layer(), f.s1.pop_layer()});
         }
         break;
     }

@@ -70,6 +70,10 @@ struct PSML_SECRET ActivationPair {
   ActivationShare s0, s1;
 };
 
+struct PSML_SECRET LayerPair {
+  LayerShare s0, s1;
+};
+
 struct FactoryOptions {
   // Refill policy: a pop that takes a pool strictly below
   // low_watermark (+ reservations) schedules a refill up to
@@ -115,13 +119,16 @@ class TripletFactory {
 
   // Pop one pair, blocking until material is available. Throws TimeoutError
   // on deadline expiry and ShutdownError if the factory is stopping.
-  // acquire serves kMatMul / kElementwise specs; kActivation has its own
-  // typed pop.
+  // acquire serves kMatMul / kElementwise specs; kActivation and kLayer have
+  // their own typed pops.
   TripletPair acquire(const TripletSpec& spec,
                       net::Deadline deadline = net::kNoDeadline) PSML_BLOCKING;
   ActivationPair acquire_activation(
       const TripletSpec& spec,
       net::Deadline deadline = net::kNoDeadline) PSML_BLOCKING;
+  LayerPair acquire_layer(const TripletSpec& spec,
+                          net::Deadline deadline = net::kNoDeadline)
+      PSML_BLOCKING;
 
   // Non-blocking pops: empty pool returns nullopt (scheduling a refill so a
   // retry finds material).
@@ -173,17 +180,27 @@ class TripletFactory {
   struct Pool {
     std::deque<TripletPair> pairs;     // kMatMul / kElementwise material
     std::deque<ActivationPair> acts;   // kActivation material
+    std::deque<LayerPair> layers;      // kLayer material
     std::size_t reserved = 0;          // announced, not yet acquired demand
     bool refill_pending = false;       // below target, producer owed a pass
     bool task_live = false;            // a producer task currently owns it
   };
 
   static std::size_t pool_depth(const Pool& p) {
-    return p.pairs.size() + p.acts.size();
+    return p.pairs.size() + p.acts.size() + p.layers.size();
   }
   std::size_t refill_target(const Pool& p) const {
     return opts_.high_watermark + p.reserved;
   }
+
+  // The typed pops behind acquire* / try_acquire*; `queue` is the pool's
+  // deque for the spec's kind.
+  template <class Pair>
+  Pair acquire_from(std::deque<Pair> Pool::*queue, const TripletSpec& spec,
+                    net::Deadline deadline) PSML_BLOCKING;
+  template <class Pair>
+  std::optional<Pair> try_acquire_from(std::deque<Pair> Pool::*queue,
+                                       const TripletSpec& spec);
 
   // Trigger decision; returns true when the caller (outside the lock) must
   // submit a producer task for `spec`.

@@ -107,6 +107,13 @@ std::vector<std::uint8_t> encode_store(const TripletStore& store) {
     put_matrix(out, a.s_lo);
     put_matrix(out, a.s_hi);
   }
+  put_u32(out, static_cast<std::uint32_t>(store.layers().size()));
+  for (const LayerShare& l : store.layers()) {
+    put_triplet(out, l);
+    put_matrix(out, l.v2);
+    put_matrix(out, l.z_dw);
+    put_matrix(out, l.z_dx);
+  }
   return out;
 }
 
@@ -129,6 +136,17 @@ TripletStore decode_store(const std::vector<std::uint8_t>& bytes) {
     a.s_lo = get_matrix(r);
     a.s_hi = get_matrix(r);
     store.push_activation(std::move(a));
+  }
+  // Payloads written before layer material existed end here: they load
+  // with none.
+  const std::uint32_t n_layer = r.done() ? 0 : r.u32();
+  for (std::uint32_t i = 0; i < n_layer; ++i) {
+    LayerShare l;
+    static_cast<TripletShare&>(l) = get_triplet(r);
+    l.v2 = get_matrix(r);
+    l.z_dw = get_matrix(r);
+    l.z_dx = get_matrix(r);
+    store.push_layer(std::move(l));
   }
   if (!r.done()) {
     throw IOError("triplet_io: trailing bytes after store payload");
@@ -175,7 +193,7 @@ PoolFile load_pool_file(const std::string& path) {
   Reader r(spec_s.payload);
   PoolFile out;
   const std::uint32_t kind = r.u32();
-  if (kind > static_cast<std::uint32_t>(TripletKind::kActivation)) {
+  if (kind > static_cast<std::uint32_t>(TripletKind::kLayer)) {
     throw IOError("triplet_io: pool file carries unknown triplet kind");
   }
   out.spec.kind = static_cast<TripletKind>(kind);
@@ -199,7 +217,9 @@ PoolFile load_pool_file(const std::string& path) {
   PSML_PUBLIC const std::size_t el1 = out.s1.elementwise_size();
   PSML_PUBLIC const std::size_t ac0 = out.s0.activation_size();
   PSML_PUBLIC const std::size_t ac1 = out.s1.activation_size();
-  if (mm0 != mm1 || el0 != el1 || ac0 != ac1) {
+  PSML_PUBLIC const std::size_t ly0 = out.s0.layer_size();
+  PSML_PUBLIC const std::size_t ly1 = out.s1.layer_size();
+  if (mm0 != mm1 || el0 != el1 || ac0 != ac1 || ly0 != ly1) {
     throw IOError("triplet_io: pool file halves do not pair up");
   }
   return out;

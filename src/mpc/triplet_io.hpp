@@ -16,8 +16,12 @@
 //
 // Format: one durable_io section "TRIP" whose payload is
 //   u32 n_matmul | u32 n_elem | u32 n_act | matmul* | elem* | act*
+//   | u32 n_layer | layer*
 // where a triplet is three matrices (u, v, z), an activation is two triplets
-// plus two mask matrices, and a matrix is u32 rows | u32 cols | f32 data.
+// plus two mask matrices, a layer is a triplet plus (v2, z_dw, z_dx), and a
+// matrix is u32 rows | u32 cols | f32 data. A payload that ends after act*
+// (written before layer material existed) decodes with no layer material;
+// an older decoder rejects a newer payload as trailing bytes (IOError).
 // Corruption anywhere is caught by the section CRC (IOError) before this
 // decoder runs; decode length checks are a second line of defence.
 #pragma once

@@ -17,6 +17,7 @@ struct StoreHeader {
   std::uint32_t n_matmul;
   std::uint32_t n_elem;
   std::uint32_t n_act;
+  std::uint32_t n_layer;
 };
 
 // declassify(): this is the client handing server i its *own* share of the
@@ -42,7 +43,8 @@ mpc::TripletShare recv_triplet(net::Channel& ch) {
 void send_store(net::Channel& ch, const mpc::TripletStore& store) {
   const StoreHeader h{static_cast<std::uint32_t>(store.matmuls().size()),
                       static_cast<std::uint32_t>(store.elementwises().size()),
-                      static_cast<std::uint32_t>(store.activations().size())};
+                      static_cast<std::uint32_t>(store.activations().size()),
+                      static_cast<std::uint32_t>(store.layers().size())};
   std::vector<std::uint8_t> buf(sizeof(h));
   std::memcpy(buf.data(), &h, sizeof(h));
   ch.send(kStoreHeader, buf);
@@ -55,6 +57,13 @@ void send_store(net::Channel& ch, const mpc::TripletStore& store) {
     // Same dealer-to-owner handoff as send_triplet above.
     net::send_matrix(ch, kStoreMatrix, psml::declassify(a.s_lo));
     net::send_matrix(ch, kStoreMatrix, psml::declassify(a.s_hi));
+  }
+  for (const auto& l : store.layers()) {
+    send_triplet(ch, l);
+    // Same dealer-to-owner handoff as send_triplet above.
+    net::send_matrix(ch, kStoreMatrix, psml::declassify(l.v2));
+    net::send_matrix(ch, kStoreMatrix, psml::declassify(l.z_dw));
+    net::send_matrix(ch, kStoreMatrix, psml::declassify(l.z_dx));
   }
 }
 
@@ -80,6 +89,14 @@ mpc::TripletStore recv_store(net::Channel& ch) {
     a.s_lo = net::recv_matrix_f32(ch, kStoreMatrix);
     a.s_hi = net::recv_matrix_f32(ch, kStoreMatrix);
     store.push_activation(std::move(a));
+  }
+  for (std::uint32_t i = 0; i < h.n_layer; ++i) {
+    mpc::LayerShare l;
+    static_cast<mpc::TripletShare&>(l) = recv_triplet(ch);
+    l.v2 = net::recv_matrix_f32(ch, kStoreMatrix);
+    l.z_dw = net::recv_matrix_f32(ch, kStoreMatrix);
+    l.z_dx = net::recv_matrix_f32(ch, kStoreMatrix);
+    store.push_layer(std::move(l));
   }
   return store;
 }

@@ -45,8 +45,8 @@ using VarHandle = std::shared_ptr<Var>;
 //             thread that completed its last dependency). For CPU work that
 //             is cheap or already parallel inside (packed GEMM).
 //   kLane   — the engine's comm lane (a one-worker psml::ThreadPool):
-//             ordered, off-thread, may block on the network. Reconstruct/open
-//             ops.
+//             ordered, off-thread, may block. No library op uses it since
+//             the layers open every operand on the training thread.
 //   kStream — the body runs inline but *enqueues* async device work on the
 //             given sgpu::Stream; the op completes when the stream reaches
 //             the end of that work (the engine plants a completion marker).

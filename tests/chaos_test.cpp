@@ -349,10 +349,10 @@ TEST(ResilientTraining, RecoversFromTransientBitFlip) {
   mc.input_dim = ds.geometry.features();
   mc.classes = 10;
   mc.seed = 76;
-  // Send 5 is the first activation's open (after layer 1's E/F pair, its
-  // two staged opens and the activation's two comparison products; pinned
-  // by ChaosPlanPositions.MlpFirstLayerAndActivation in wire_order_test.cpp).
-  expect_recovery_from_bit_flip(mc, ds.x, ds.y, "flip@5");
+  // Send 3 is the first activation's open (after layer 1's E/F pair and
+  // the activation's two comparison products; pinned by
+  // ChaosPlanPositions.MlpFirstLayerAndActivation in wire_order_test.cpp).
+  expect_recovery_from_bit_flip(mc, ds.x, ds.y, "flip@3");
 }
 
 TEST(ResilientTraining, RnnRecoversFromTransientBitFlip) {
@@ -390,11 +390,11 @@ TEST(ResilientTraining, ExhaustedRetriesRethrowAndRollBack) {
   auto xs = mpc::share_float(ds.x, 88);
   auto ys = mpc::share_float(ds.y, 89);
 
-  // close@4 (the first activation's second comparison product) kills the
+  // close@2 (the first activation's second comparison product) kills the
   // transport for good: no amount of retries can succeed, so the policy
   // must give up with the typed error after max_attempts.
   auto chans = net::FaultInjectChannel::wrap_pair(
-      net::LocalChannel::make_pair(), net::FaultPlan::parse("close@4"),
+      net::LocalChannel::make_pair(), net::FaultPlan::parse("close@2"),
       net::FaultPlan{}, 13);
 
   ml::RetryPolicy pol;

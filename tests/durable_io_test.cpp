@@ -146,12 +146,24 @@ TEST(DurableManifest, RoundTripAndSizeCheck) {
   m.matmul_cursor = 40;
   m.elem_cursor = 41;
   m.act_cursor = 42;
+  m.layer_cursor = 43;
   const durable::Manifest back = durable::Manifest::decode(m.encode());
   EXPECT_TRUE(back == m);
 
   std::vector<std::uint8_t> short_bytes = m.encode();
   short_bytes.pop_back();
   EXPECT_THROW(durable::Manifest::decode(short_bytes), IOError);
+}
+
+TEST(DurableManifest, PreLayerManifestRejected) {
+  // A manifest written before layer_cursor existed ends after act_cursor.
+  // It must fail typed, so recovery skips that checkpoint as unusable
+  // instead of resuming with an unknown layer cursor.
+  durable::Manifest m;
+  m.commit_id = 5;
+  std::vector<std::uint8_t> old_layout = m.encode();
+  old_layout.resize(old_layout.size() - 8);
+  EXPECT_THROW(durable::Manifest::decode(old_layout), IOError);
 }
 
 TEST(CrashPlan, ParseGrammar) {
@@ -259,6 +271,7 @@ mpc::TripletStore dealt_store(std::uint64_t seed) {
       {mpc::TripletKind::kMatMul, 4, 3, 2},
       {mpc::TripletKind::kElementwise, 3, 0, 3},
       {mpc::TripletKind::kActivation, 2, 0, 2},
+      {mpc::TripletKind::kLayer, 3, 4, 2},
   };
   return dealer.generate(plan).first;
 }
@@ -287,6 +300,78 @@ void expect_store_eq(const mpc::TripletStore& a, const mpc::TripletStore& b) {
     expect_near(a.activations()[i].s_hi, b.activations()[i].s_hi, 0.0,
                 "act s_hi");
   }
+  ASSERT_EQ(a.layer_size(), b.layer_size());
+  for (std::size_t i = 0; i < a.layer_size(); ++i) {
+    const mpc::LayerShare& la = a.layers()[i];
+    const mpc::LayerShare& lb = b.layers()[i];
+    EXPECT_TRUE(la.u == lb.u && la.v == lb.v && la.z == lb.z);
+    EXPECT_TRUE(la.v2 == lb.v2 && la.z_dw == lb.z_dw && la.z_dx == lb.z_dx);
+  }
+}
+
+// The "TRIP" payload as written before layer material existed: the current
+// encoding of a store without layers, minus its trailing n_layer word.
+std::vector<std::uint8_t> pre_layer_payload(const mpc::TripletStore& store) {
+  EXPECT_EQ(store.layer_size(), 0u);
+  std::vector<std::uint8_t> bytes = mpc::encode_store(store);
+  bytes.resize(bytes.size() - 4);
+  return bytes;
+}
+
+mpc::TripletStore dealt_pre_layer_store(std::uint64_t seed) {
+  mpc::TripletDealer dealer(nullptr, {false, false, seed});
+  return dealer
+      .generate({{mpc::TripletKind::kMatMul, 4, 3, 2},
+                 {mpc::TripletKind::kActivation, 2, 0, 2}})
+      .first;
+}
+
+TEST(TripletIo, PreLayerStoreLoadsWithoutLayerMaterial) {
+  const mpc::TripletStore store = dealt_pre_layer_store(14);
+  const mpc::TripletStore back = mpc::decode_store(pre_layer_payload(store));
+  expect_store_eq(store, back);
+  EXPECT_EQ(back.layer_size(), 0u);
+}
+
+TEST(TripletIo, PreLayerPoolFileLoads) {
+  // A pool file of the old layout: spec section plus two pre-layer halves.
+  mpc::TripletDealer dealer(nullptr, {false, false, 15});
+  auto [s0, s1] = dealer.generate({{mpc::TripletKind::kMatMul, 4, 3, 2},
+                                   {mpc::TripletKind::kMatMul, 4, 3, 2}});
+  durable::Section spec;
+  spec.tag = durable::section_tag("TSPC");
+  for (const std::uint32_t w : {0u, 4u, 3u, 2u}) {  // kMatMul 4 x 3 x 2
+    for (int b = 0; b < 4; ++b) {
+      spec.payload.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+    }
+  }
+  durable::Section p0{durable::section_tag("TRP0"), pre_layer_payload(s0)};
+  durable::Section p1{durable::section_tag("TRP1"), pre_layer_payload(s1)};
+  const std::string path = "/tmp/psml_pre_layer_pool.psmd";
+  durable::write_sections(path, {spec, p0, p1});
+  const mpc::PoolFile f = mpc::load_pool_file(path);
+  EXPECT_EQ(f.spec.kind, mpc::TripletKind::kMatMul);
+  EXPECT_EQ(f.spec.k, 3u);
+  expect_store_eq(s0, f.s0);
+  expect_store_eq(s1, f.s1);
+  durable::remove_file(path);
+}
+
+TEST(TripletIo, LayerPoolFileRoundTrip) {
+  mpc::TripletDealer dealer(nullptr, {false, false, 16});
+  const mpc::TripletSpec spec{mpc::TripletKind::kLayer, 3, 4, 2};
+  auto [s0, s1] = dealer.generate({spec, spec});
+  const std::string path = "/tmp/psml_layer_pool.psmd";
+  mpc::save_pool_file(path, spec, s0, s1);
+  const mpc::PoolFile f = mpc::load_pool_file(path);
+  EXPECT_TRUE(f.spec == spec);
+  expect_store_eq(s0, f.s0);
+  expect_store_eq(s1, f.s1);
+  // Halves that do not pair up are rejected typed.
+  (void)s1.pop_layer();
+  mpc::save_pool_file(path, spec, s0, s1);
+  EXPECT_THROW(mpc::load_pool_file(path), IOError);
+  durable::remove_file(path);
 }
 
 TEST(TripletIo, EncodeDecodeRoundTrip) {

@@ -1,11 +1,10 @@
-// Chaos suite for dependency-engine-scheduled training: the engine moves
-// reconstruct sends/recvs onto its lane executor, so transport faults now
-// surface *inside engine ops* rather than on the main training thread. These
-// tests pin down that (a) a reconnect-and-resume TCP session heals an
-// injected disconnect transparently underneath the engine, and (b) the
-// resilient retry loop still recovers when an engine op fails a step —
-// rollback drains the graph, resyncs, retries, and the final model matches
-// the plaintext reference.
+// Chaos suite for training with the pipeline on: the party's dependency
+// engine schedules the step's device work while every send and recv runs on
+// the training thread. These tests pin down that (a) a reconnect-and-resume
+// TCP session heals an injected disconnect transparently underneath the
+// step, and (b) the resilient retry loop still recovers when a transport
+// fault fails a pipelined step — rollback drains the engine, resyncs,
+// retries, and the final model matches the plaintext reference.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -32,8 +31,7 @@ mpc::PartyOptions cpu_opts() {
   mpc::PartyOptions opts = mpc::PartyOptions::parsecureml();
   opts.use_gpu = false;
   opts.adaptive = false;
-  // Staged opens run on the engine's lane (CPU compute keeps the streams
-  // out of the picture).
+  // The pipelined mode (CPU compute keeps the streams out of the picture).
   opts.use_pipeline = true;
   return opts;
 }
@@ -58,13 +56,13 @@ void expect_matches_plain(const ml::ModelConfig& mc, ml::SecurePair& pair,
 }
 
 TEST(EngineChaos, TrainingSurvivesInjectedDisconnect) {
-  // One engine-scheduled SGD step over a resume-enabled TCP session, with
-  // the connection broken at a deterministic protocol point: party 0 injects
+  // One pipelined SGD step over a resume-enabled TCP session, with the
+  // connection broken at a deterministic protocol point: party 0 injects
   // the disconnect just before its step, while party 1 is already blocked in
   // a mid-protocol recv. The session layer must heal the break without the
-  // engine (or the training loop) ever seeing an error, every engine-lane
-  // reconstruct must flow over the resumed session, and the result must
-  // match the plaintext reference at the standard share-noise tolerance.
+  // engine (or the training loop) ever seeing an error, every reconstruct
+  // must flow over the resumed session, and the result must match the
+  // plaintext reference at the standard share-noise tolerance.
   // (Run-to-run bit-identity is deliberately NOT asserted: refresh_share
   // draws fresh mask randomness per process — see rng.cpp.)
   const std::size_t batch = 8;
@@ -141,9 +139,9 @@ TEST(EngineChaos, TrainingSurvivesInjectedDisconnect) {
 
 TEST(EngineChaos, ResilientTrainingRecoversWithEngineScheduling) {
   // Mirror of ResilientTraining.RecoversFromTransientBitFlip with the
-  // dependency engine on: the corrupted frame fails an engine-lane
-  // reconstruct op, wait_all() rethrows it typed, the retry loop drains the
-  // engine, rolls back, resyncs, and the retried step matches plaintext.
+  // pipeline on: the corrupted frame fails the first activation's first
+  // comparison product, the retry loop drains the engine, rolls back,
+  // resyncs, and the retried step matches plaintext.
   const std::size_t batch = 8;
   const auto ds = data::make_dataset(data::DatasetKind::kMnist,
                                      data::LabelScheme::kOneHot10, batch, 65);
@@ -163,8 +161,10 @@ TEST(EngineChaos, ResilientTrainingRecoversWithEngineScheduling) {
   auto xs = mpc::share_float(ds.x, 68);
   auto ys = mpc::share_float(ds.y, 69);
 
+  // Send 1 is that comparison product (after layer 1's E/F pair; pinned by
+  // ChaosPlanPositions.MlpFirstLayerAndActivation in wire_order_test.cpp).
   auto chans = net::FaultInjectChannel::wrap_pair(
-      net::LocalChannel::make_pair(), net::FaultPlan::parse("flip@3"),
+      net::LocalChannel::make_pair(), net::FaultPlan::parse("flip@1"),
       net::FaultPlan{}, 71);
 
   ml::RetryPolicy pol;

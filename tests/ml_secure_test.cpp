@@ -149,10 +149,11 @@ INSTANTIATE_TEST_SUITE_P(PipelineOnOff, SecureVsPlain, ::testing::Bool(),
                          });
 
 TEST(PipelineModes, SerialAndPipelinedStepsAreBitIdentical) {
-  // Both modes push the same op graph; only the executor of the staged
-  // opens differs (the engine's lane vs. inline at push). With deterministic
-  // refresh masks and exact (uncompressed) exchanges, the trained weights
-  // must therefore agree bit for bit, not merely within share noise.
+  // Both modes push the same op graph and send the same messages from the
+  // training thread; only the upload stream of device GEMMs differs. With
+  // deterministic refresh masks and exact (uncompressed) exchanges, the
+  // trained weights must therefore agree bit for bit, not merely within
+  // share noise.
   auto opts = [](bool pipeline) {
     mpc::PartyOptions o = cpu_opts(pipeline);
     o.use_compression = false;
@@ -218,13 +219,13 @@ std::string train_to_checkpoint(const ModelConfig& mc, const MatrixF& x,
   return os.str();
 }
 
-// Exact modes only: deterministic refresh masks, uncompressed exchanges, and
-// f32 numerics on the device (no Tensor-Core rounding, no adaptive
-// placement), so the only difference is where each online GEMM runs.
+// Exact modes only: deterministic refresh masks, uncompressed exchanges and
+// no adaptive placement, so the only difference is where each online GEMM
+// runs. The default options' device numerics are f32 (Tensor-Core rounding
+// is off by default), which is what these tests pin.
 mpc::PartyOptions placement_opts(bool gpu) {
   mpc::PartyOptions o = mpc::PartyOptions::parsecureml();
   o.use_gpu = gpu;
-  o.use_tensor_core = false;
   o.use_compression = false;
   o.adaptive = false;
   o.mask_seed = 0x91ace;
@@ -262,22 +263,44 @@ TEST(PlacementModes, DeviceAndHostStepsAreBitIdentical) {
   EXPECT_TRUE(cnn_host == cnn_device) << "CNN weights differ";
 }
 
+TEST(PlacementModes, TensorCoreSizedStepsAreBitIdentical) {
+  // A batch of 96 puts the first dense layer's forward and dW GEMMs (96 x
+  // 784 x 128, about 1.9e7 flops) above the 2^24-flop gate from which a
+  // device GEMM in Tensor-Core mode rounds its operands to binary16. With
+  // the default options, host and device must still train the same model
+  // bit for bit.
+  constexpr std::size_t kBatch = 96;
+  const auto ds = data::make_dataset(data::DatasetKind::kMnist,
+                                     data::LabelScheme::kOneHot10, kBatch, 75);
+  const ModelConfig mlp = sgd_step_config(ds);
+  ASSERT_GE(2.0 * kBatch * mlp.input_dim * 128, static_cast<double>(1 << 24));
+  const std::string host =
+      train_to_checkpoint(mlp, ds.x, ds.y, placement_opts(false), 1, 0.25f);
+  const std::string device =
+      train_to_checkpoint(mlp, ds.x, ds.y, placement_opts(true), 1, 0.25f);
+  EXPECT_TRUE(host == device) << "MLP weights differ";
+}
+
 TEST(PlacementModes, DealerStoresAreByteIdentical) {
   // The offline twin: one seed and plan give the same triplet stores whether
-  // the dealer computes Z = U x V on the device or on the host. The MLP's
-  // first-layer triplets clear the dealer's 2^21-flop device gate, so the
-  // device path really runs.
+  // the dealer computes its products on the device or on the host. The
+  // MLP's first-layer material clears the dealer's 2^21-flop device gate
+  // (each of a kLayer's three products costs 2 m k n flops), so the device
+  // path really runs; the inference plan covers kMatMul the same way.
   const auto ds = sgd_step_data();
   auto pair = build_secure_pair(sgd_step_config(ds));
   std::vector<mpc::TripletSpec> plan;
   pair.m0.plan_batch(plan, kStepBatch, LossKind::kMse, 10, true);
-  bool device_sized = false;
+  pair.m0.plan_batch(plan, kStepBatch, LossKind::kMse, 10, false);
+  std::size_t device_sized = 0;
   for (const auto& spec : plan) {
-    device_sized |= spec.kind == mpc::TripletKind::kMatMul &&
+    const bool product = spec.kind == mpc::TripletKind::kMatMul ||
+                         spec.kind == mpc::TripletKind::kLayer;
+    device_sized += product &&
                     2.0 * static_cast<double>(spec.m) * spec.k * spec.n >=
                         static_cast<double>(1 << 21);
   }
-  ASSERT_TRUE(device_sized);
+  ASSERT_EQ(device_sized, 2u);
 
   mpc::TripletDealer host(nullptr, {false, false, 0xdea1});
   mpc::TripletDealer device(&sgpu::Device::global(), {true, false, 0xdea1});
@@ -534,14 +557,101 @@ TEST(SecurePlan, InferencePlanSmallerThanTraining) {
   std::vector<mpc::TripletSpec> train_plan, infer_plan;
   pair.m0.plan_batch(train_plan, 8, LossKind::kMse, 10, true);
   pair.m0.plan_batch(infer_plan, 8, LossKind::kMse, 10, false);
-  EXPECT_GT(train_plan.size(), infer_plan.size());
-  // Inference: one matmul per dense + activations, no backward triplets.
-  std::size_t matmuls = 0;
-  for (const auto& s : infer_plan) {
-    if (s.kind == mpc::TripletKind::kMatMul) ++matmuls;
-  }
-  EXPECT_EQ(matmuls, 3u);
+  // Each dense layer plans one spec either way; training's kLayer material
+  // carries the backward masks and products on top of the forward triplet.
+  EXPECT_GT(gen_stores(train_plan, 1).first.bytes(),
+            gen_stores(infer_plan, 1).first.bytes());
+  // Inference: one matmul per dense + activations, no backward material.
+  // Training: one layer material per dense instead.
+  auto count = [](const std::vector<mpc::TripletSpec>& plan,
+                  mpc::TripletKind kind) {
+    std::size_t n = 0;
+    for (const auto& s : plan) n += s.kind == kind;
+    return n;
+  };
+  EXPECT_EQ(count(infer_plan, mpc::TripletKind::kMatMul), 3u);
+  EXPECT_EQ(count(infer_plan, mpc::TripletKind::kLayer), 0u);
+  EXPECT_EQ(count(train_plan, mpc::TripletKind::kMatMul), 0u);
+  EXPECT_EQ(count(train_plan, mpc::TripletKind::kLayer), 3u);
 }
+
+// A small config of every model kind, with its batch and one batch of data.
+struct ModelCase {
+  ModelConfig mc;
+  std::size_t batch = 8;
+  MatrixF x, y;
+};
+
+ModelCase model_case(ModelKind kind) {
+  ModelCase c;
+  c.mc.kind = kind;
+  c.mc.seed = 42;
+  c.mc.input_dim = 20;
+  if (kind == ModelKind::kCnn) {
+    c.mc.image_h = c.mc.image_w = 10;
+    c.mc.input_dim = 100;
+    c.batch = 4;
+  } else if (kind == ModelKind::kRnn) {
+    c.mc.input_dim = 6;
+    c.mc.rnn_steps = 2;
+    c.mc.rnn_hidden = 4;
+    c.batch = 6;
+  }
+  const std::size_t features = kind == ModelKind::kRnn
+                                   ? c.mc.rnn_steps * c.mc.input_dim
+                                   : c.mc.input_dim;
+  c.mc.classes =
+      kind == ModelKind::kMlp || kind == ModelKind::kCnn ? 10 : 1;
+  c.x = random_matrix(c.batch, features, 43, 0.0f, 1.0f);
+  c.y = MatrixF(c.batch, c.mc.classes, 0.0f);
+  for (std::size_t r = 0; r < c.batch; ++r) {
+    if (loss_for(kind) == LossKind::kHinge) {
+      c.y(r, 0) = r % 2 == 0 ? 1.0f : -1.0f;
+    } else {
+      c.y(r, r % c.mc.classes) = 1.0f;
+    }
+  }
+  return c;
+}
+
+class EpochPlan : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(EpochPlan, ConsumedExactlyByOneEpoch) {
+  // The plan is the contract between the offline and online phases: one
+  // epoch of training steps must pop every entry of a consuming store, no
+  // more and no fewer.
+  const ModelCase c = model_case(GetParam());
+  const LossKind loss = loss_for(GetParam());
+  constexpr std::size_t kBatches = 2;
+  auto pair = build_secure_pair(c.mc);
+  const auto plan =
+      epoch_plan(pair.m0, kBatches, c.batch, loss, c.mc.classes, true);
+  auto [st0, st1] = gen_stores(plan, 103);
+  auto xs = mpc::share_float(c.x, 104);
+  auto ys = mpc::share_float(c.y, 105);
+  bool empty0 = false, empty1 = false;
+  auto party = [loss](SecureSequential* model, mpc::TripletStore* st,
+                      const MatrixF* x, const MatrixF* y, bool* empty) {
+    return [=](mpc::PartyContext& ctx) {
+      ctx.set_triplets(std::move(*st));
+      SecureEnv env{&ctx, true};
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        secure_train_batch(env, *model, loss, *x, *y, 0.1f);
+      }
+      *empty = ctx.triplets().empty();
+    };
+  };
+  run_parties(cpu_opts(), party(&pair.m0, &st0, &xs.s0, &ys.s0, &empty0),
+              party(&pair.m1, &st1, &xs.s1, &ys.s1, &empty1));
+  EXPECT_TRUE(empty0);
+  EXPECT_TRUE(empty1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, EpochPlan,
+    ::testing::Values(ModelKind::kMlp, ModelKind::kCnn, ModelKind::kLinear,
+                      ModelKind::kLogistic, ModelKind::kSvm, ModelKind::kRnn),
+    [](const auto& info) { return to_string(info.param); });
 
 }  // namespace
 }  // namespace psml::ml

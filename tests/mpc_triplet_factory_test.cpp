@@ -10,8 +10,11 @@
 #include <vector>
 
 #include "common/durable_io.hpp"
+#include "ml/models.hpp"
+#include "ml/secure/secure_model.hpp"
 #include "mpc/triplet_factory.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/ops.hpp"
 #include "test_util.hpp"
 
 namespace psml::mpc {
@@ -181,6 +184,46 @@ TEST(Factory, FillStoresDeliversPlanOrderAndBeaverAlgebra) {
   expect_near(z, tensor::matmul(u, v), 1e-2, "pooled Z = U x V");
 }
 
+// Pooled layer material still satisfies all three Beaver products.
+void expect_layer_algebra(const LayerShare& l0, const LayerShare& l1,
+                          const char* what) {
+  const MatrixF u = reconstruct_float(l0.u, l1.u);
+  const MatrixF v = reconstruct_float(l0.v, l1.v);
+  const MatrixF v2 = reconstruct_float(l0.v2, l1.v2);
+  expect_near(reconstruct_float(l0.z, l1.z), tensor::matmul(u, v), 1e-2,
+              what);
+  expect_near(reconstruct_float(l0.z_dw, l1.z_dw),
+              tensor::matmul(tensor::transpose(u), v2), 1e-2, what);
+  expect_near(reconstruct_float(l0.z_dx, l1.z_dx),
+              tensor::matmul(v2, tensor::transpose(v)), 1e-2, what);
+}
+
+TEST(Factory, FillStoresServesATrainingPlan) {
+  // A training epoch plan: one kLayer per dense layer and one kActivation
+  // per activation, per batch, served from the typed pools in plan order.
+  ml::ModelConfig mc;
+  mc.kind = ml::ModelKind::kMlp;
+  mc.input_dim = 20;
+  mc.classes = 10;
+  const auto pair = ml::build_secure_pair(mc);
+  const auto plan =
+      ml::epoch_plan(pair.m0, 2, 4, ml::LossKind::kMse, 10, true);
+  TripletFactory f(nullptr, cpu_opts(1, 2, 2, 912));
+  f.reserve(plan);
+  TripletStore st0, st1;
+  f.fill_stores(plan, st0, st1, net::deadline_after(std::chrono::seconds(120)));
+  EXPECT_EQ(st0.layer_size(), 6u);
+  EXPECT_EQ(st0.activation_size(), 4u);
+  EXPECT_EQ(st0.matmul_size(), 0u);
+  EXPECT_EQ(st1.layer_size(), 6u);
+  EXPECT_EQ(f.metrics().acquired, plan.size());
+  const LayerShare l0 = st0.pop_layer();
+  const LayerShare l1 = st1.pop_layer();
+  EXPECT_EQ(l0.u.rows(), 4u);   // batch
+  EXPECT_EQ(l0.u.cols(), 20u);  // first layer's input width
+  expect_layer_algebra(l0, l1, "pooled layer material");
+}
+
 TEST(Factory, WarmPoolServesWithoutInlineGeneration) {
   // The acceptance property of the pooled offline phase: once reserve +
   // wait_ready report the plan materialized, draining it never blocks on
@@ -250,6 +293,35 @@ TEST(Factory, PersistedPoolRestartRoundTrip) {
   const MatrixF v = reconstruct_float(pair->s0.v, pair->s1.v);
   const MatrixF z = reconstruct_float(pair->s0.z, pair->s1.z);
   expect_near(z, tensor::matmul(u, v), 1e-2, "restored Z = U x V");
+}
+
+TEST(Factory, PersistedLayerPoolRoundTrip) {
+  const std::string dir = "/tmp/psml_factory_layer_pools_test";
+  durable::ensure_dir(dir);
+  for (const std::string& name : durable::list_dir(dir)) {
+    durable::remove_file(dir + "/" + name);
+  }
+  const TripletSpec spec{TripletKind::kLayer, 3, 5, 2};
+  std::size_t saved = 0;
+  {
+    TripletFactory f(nullptr, cpu_opts(1, 3, 1, 913));
+    f.register_spec(spec);
+    ASSERT_TRUE(
+        eventually([&] { return f.metrics().refills_completed >= 1; }));
+    f.pause();
+    saved = f.depth(spec);
+    ASSERT_GE(saved, 3u);
+    f.save(dir);
+  }
+  FactoryOptions opts = cpu_opts(1, 3, 1, 914);
+  opts.persist_dir = dir;
+  TripletFactory g(nullptr, opts);
+  EXPECT_EQ(g.depth(spec), saved);
+  EXPECT_EQ(g.metrics().loaded, saved);
+  EXPECT_EQ(g.metrics().load_errors, 0u);
+  const LayerPair pair = g.acquire_layer(spec);
+  expect_layer_algebra(pair.s0, pair.s1, "restored layer material");
+  EXPECT_THROW((void)g.acquire(spec), InvalidArgument);  // typed pops only
 }
 
 TEST(Factory, TornPoolFileIsSkippedAndCounted) {

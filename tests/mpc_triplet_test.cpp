@@ -27,6 +27,30 @@ TEST(Dealer, MatmulTripletInvariant) {
   }
 }
 
+TEST(Dealer, LayerMaterialInvariant) {
+  // Reconstructed Z, Z_dw and Z_dx are U x V, U^T x V2 and V2 x V^T: the
+  // Beaver products of forward, dW and dX on the layer's three masks.
+  TripletDealer dealer(nullptr, {false, false, 814});
+  const std::size_t b = 6, in = 9, out = 4;
+  auto [l0, l1] = dealer.make_layer(b, in, out);
+  const MatrixF u = reconstruct_float(l0.u, l1.u);
+  const MatrixF v = reconstruct_float(l0.v, l1.v);
+  const MatrixF v2 = reconstruct_float(l0.v2, l1.v2);
+  EXPECT_EQ(u.rows(), b);
+  EXPECT_EQ(u.cols(), in);
+  EXPECT_EQ(v.cols(), out);
+  EXPECT_EQ(v2.rows(), b);
+  EXPECT_EQ(v2.cols(), out);
+  expect_near(reconstruct_float(l0.z, l1.z), tensor::matmul(u, v), 1e-2,
+              "Z = U x V");
+  expect_near(reconstruct_float(l0.z_dw, l1.z_dw),
+              tensor::matmul(tensor::transpose(u), v2), 1e-2,
+              "Z_dw = U^T x V2");
+  expect_near(reconstruct_float(l0.z_dx, l1.z_dx),
+              tensor::matmul(v2, tensor::transpose(v)), 1e-2,
+              "Z_dx = V2 x V^T");
+}
+
 TEST(Dealer, ElementwiseTripletInvariant) {
   TripletDealer dealer(nullptr, {false, false, 802});
   auto [t0, t1] = dealer.make_elementwise(7, 11);
@@ -79,6 +103,43 @@ TEST(Store, BytesAccounting) {
   // u 4x8 + v 8x2 + z 4x2 = 32+16+8 floats = 224 bytes.
   EXPECT_EQ(st0.bytes(), 224u);
   EXPECT_EQ(st1.bytes(), 224u);
+
+  auto [l0, l1] = dealer.generate({{TripletKind::kLayer, 4, 8, 2}});
+  // + v2 4x2 + z_dw 8x2 + z_dx 4x8 = 112 floats = 448 bytes.
+  EXPECT_EQ(l0.layer_size(), 1u);
+  EXPECT_EQ(l0.bytes(), 448u);
+  EXPECT_EQ(l1.bytes(), 448u);
+}
+
+TEST(Store, LayerRetainMarkRewindAndRecycle) {
+  TripletDealer dealer(nullptr, {false, false, 817});
+  const std::vector<TripletSpec> plan{{TripletKind::kLayer, 2, 3, 4},
+                                      {TripletKind::kMatMul, 2, 2, 2},
+                                      {TripletKind::kLayer, 5, 3, 4}};
+  auto [st0, st1] = dealer.generate(plan);
+  st0.set_retain(true);
+  EXPECT_EQ(st0.pop_layer().u.rows(), 2u);
+  const TripletStore::Mark m = st0.mark();
+  EXPECT_EQ(m.layer, 1u);
+  EXPECT_EQ(m.matmul, 0u);
+  const LayerShare second = st0.pop_layer();
+  EXPECT_EQ(second.u.rows(), 5u);
+  (void)st0.pop_matmul();
+  EXPECT_THROW(st0.pop_layer(), Error);  // retain: no wrap-around
+  st0.rewind(m);
+  EXPECT_TRUE(st0.pop_layer().z_dx == second.z_dx);  // same material again
+  EXPECT_EQ(st0.mark().matmul, 0u);
+  EXPECT_EQ(st0.layer_size(), 2u);  // retained, not consumed
+
+  st1.set_recycle(true);
+  EXPECT_EQ(st1.pop_layer().u.rows(), 2u);
+  EXPECT_EQ(st1.pop_layer().u.rows(), 5u);
+  EXPECT_EQ(st1.pop_layer().u.rows(), 2u);  // recycle wraps to the front
+
+  auto [st2, st3] = dealer.generate(plan);
+  (void)st2.pop_layer();  // consuming pop
+  EXPECT_EQ(st2.layer_size(), 1u);
+  EXPECT_THROW(st2.mark(), Error);
 }
 
 TEST(Store, GenerateHonorsPlanOrderAndKinds) {

@@ -1,11 +1,12 @@
-// Serial wire order. With the pipeline off, every channel op of a training
-// step runs on the party's training thread in program order: the staged
-// backward opens run inline at push, during forward. So each party's sent
-// sequence is a pure function of the model, and the two parties' sequences
-// mirror each other message for message (party 0 additionally sends the
-// one-way share refreshes). A recording decorator on both endpoints pins
-// that, and pins the send positions the positional fault plans of
-// chaos_test.cpp aim at.
+// Wire order. Every channel op of a training step runs on the party's
+// training thread in program order — no engine op sends or receives — so
+// each party's sent sequence is a pure function of the model, and the two
+// parties' sequences mirror each other message for message (party 0
+// additionally sends the one-way share refreshes). That holds with the
+// pipeline off, with it on, and with compression on. A recording decorator
+// on both endpoints pins it, pins the per-step send counts, and pins the
+// send positions the positional fault plans of chaos_test.cpp and
+// engine_chaos_test.cpp aim at.
 #include <gtest/gtest.h>
 
 #include <exception>
@@ -72,29 +73,32 @@ bool is_refresh(net::Tag tag) {
          tag < mpc::tags::kControl + 0x300000u;
 }
 
-mpc::PartyOptions serial_opts() {
+mpc::PartyOptions wire_opts(bool pipeline, bool compression) {
   mpc::PartyOptions o = mpc::PartyOptions::parsecureml();
   o.use_gpu = false;
   o.adaptive = false;
-  o.use_pipeline = false;
-  o.use_compression = false;
+  o.use_pipeline = pipeline;
+  o.use_compression = compression;
   o.mask_seed = 0x5eed;
   return o;
 }
+
+mpc::PartyOptions serial_opts() { return wire_opts(false, false); }
 
 struct Wire {
   std::vector<Sent> p0, p1;
 };
 
 // Runs party 0 and party 1 on their own threads over one recorded pair.
-Wire record(const std::function<void(mpc::PartyContext&)>& party0,
+Wire record(const mpc::PartyOptions& opts,
+            const std::function<void(mpc::PartyContext&)>& party0,
             const std::function<void(mpc::PartyContext&)>& party1) {
   auto inner = net::LocalChannel::make_pair();
   auto r0 = std::make_shared<RecordingChannel>(inner.a);
   auto r1 = std::make_shared<RecordingChannel>(inner.b);
   {
-    mpc::PartyContext ctx0(0, r0, nullptr, serial_opts());
-    mpc::PartyContext ctx1(1, r1, nullptr, serial_opts());
+    mpc::PartyContext ctx0(0, r0, nullptr, opts);
+    mpc::PartyContext ctx1(1, r1, nullptr, opts);
     std::exception_ptr err0, err1;
     std::thread t0([&] {
       try {
@@ -126,7 +130,8 @@ std::pair<mpc::TripletStore, mpc::TripletStore> gen_stores(
 
 // One training step through secure_train_batch — the step
 // parsecureml::run_training drives for every model.
-Wire train_step(ml::ModelKind kind) {
+Wire train_step(ml::ModelKind kind,
+                const mpc::PartyOptions& opts = serial_opts()) {
   ml::ModelConfig mc;
   mc.kind = kind;
   mc.seed = 42;
@@ -175,14 +180,14 @@ Wire train_step(ml::ModelKind kind) {
       ml::secure_train_batch(env, *model, loss, *xi, *yi, 0.1f);
     };
   };
-  return record(party(&pair.m0, &st0, &xs.s0, &ys.s0),
+  return record(opts, party(&pair.m0, &st0, &xs.s0, &ys.s0),
                 party(&pair.m1, &st1, &xs.s1, &ys.s1));
 }
 
-class SerialWireOrder : public ::testing::TestWithParam<ml::ModelKind> {};
-
-TEST_P(SerialWireOrder, PartiesMirrorAndRunsRepeat) {
-  const Wire first = train_step(GetParam());
+// The wire-order property for one model in one mode.
+void expect_mirrored_and_repeatable(ml::ModelKind kind,
+                                    const mpc::PartyOptions& opts) {
+  const Wire first = train_step(kind, opts);
 
   // Party 0's sequence minus its one-way refreshes is party 1's sequence.
   std::vector<Sent> p0_exchanges;
@@ -201,43 +206,92 @@ TEST_P(SerialWireOrder, PartiesMirrorAndRunsRepeat) {
     EXPECT_EQ(p0_exchanges[i], first.p1[i]) << "message " << i;
   }
 
-  // The serial schedule is deterministic: a second run sends the identical
+  // The schedule is deterministic: a second run sends the identical
   // sequences.
-  const Wire second = train_step(GetParam());
+  const Wire second = train_step(kind, opts);
   EXPECT_EQ(second.p0, first.p0);
   EXPECT_EQ(second.p1, first.p1);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Models, SerialWireOrder,
+class SerialWireOrder : public ::testing::TestWithParam<ml::ModelKind> {};
+class PipelinedWireOrder : public ::testing::TestWithParam<ml::ModelKind> {};
+class CompressedWireOrder : public ::testing::TestWithParam<ml::ModelKind> {
+};
+
+TEST_P(SerialWireOrder, PartiesMirrorAndRunsRepeat) {
+  expect_mirrored_and_repeatable(GetParam(), wire_opts(false, false));
+}
+
+TEST_P(PipelinedWireOrder, PartiesMirrorAndRunsRepeat) {
+  expect_mirrored_and_repeatable(GetParam(), wire_opts(true, false));
+}
+
+TEST_P(CompressedWireOrder, PartiesMirrorAndRunsRepeat) {
+  expect_mirrored_and_repeatable(GetParam(), wire_opts(true, true));
+}
+
+const auto kWireModels =
     ::testing::Values(ml::ModelKind::kMlp, ml::ModelKind::kCnn,
                       ml::ModelKind::kLogistic, ml::ModelKind::kSvm,
-                      ml::ModelKind::kRnn),
-    [](const auto& info) { return ml::to_string(info.param); });
+                      ml::ModelKind::kRnn);
+const auto kWireModelName = [](const auto& info) {
+  return ml::to_string(info.param);
+};
+
+INSTANTIATE_TEST_SUITE_P(Models, SerialWireOrder, kWireModels,
+                         kWireModelName);
+INSTANTIATE_TEST_SUITE_P(Models, PipelinedWireOrder, kWireModels,
+                         kWireModelName);
+INSTANTIATE_TEST_SUITE_P(Models, CompressedWireOrder, kWireModels,
+                         kWireModelName);
+
+TEST(StepSends, PinnedPerModel) {
+  // Messages each party sends in one training step. A dense or conv layer
+  // sends its forward E/F pair and its backward F' = dY - V2; an
+  // activation sends two comparison products and two opens; party 0 also
+  // sends one refresh per parameter gradient. The RNN keeps independent
+  // triplets: one E/F pair per product.
+  struct Want {
+    ml::ModelKind kind;
+    std::size_t p0, p1;
+  };
+  for (const Want& w : {Want{ml::ModelKind::kMlp, 20, 14},
+                        Want{ml::ModelKind::kCnn, 19, 14},
+                        Want{ml::ModelKind::kLogistic, 8, 6},
+                        Want{ml::ModelKind::kSvm, 7, 5},
+                        Want{ml::ModelKind::kRnn, 24, 21}}) {
+    const Wire wire = train_step(w.kind, wire_opts(true, true));
+    EXPECT_EQ(wire.p0.size(), w.p0) << ml::to_string(w.kind);
+    EXPECT_EQ(wire.p1.size(), w.p1) << ml::to_string(w.kind);
+  }
+}
 
 TEST(ChaosPlanPositions, MlpFirstLayerAndActivation) {
   // chaos_test's resilient-training plans index party 0's sends in a serial
-  // MLP step. Dense layer 1 sends its forward E/F pair and then, inline at
-  // push, its staged e_dw and f_dx opens; activation 1 then sends its two
-  // comparison products and opens them.
-  const Wire w = train_step(ml::ModelKind::kMlp);
-  ASSERT_GE(w.p0.size(), 6u);
-  // [1], [2]: the staged opens (f_dx is the only forward send on the
-  // kExchangeF family).
-  EXPECT_EQ(family(w.p0[1].tag), mpc::tags::kExchangeE);
-  EXPECT_EQ(family(w.p0[2].tag), mpc::tags::kExchangeF);
-  // [3], [4]: the activation's two comparison products (same shapes) —
-  // close@4 cuts the transport at the second one.
-  EXPECT_EQ(family(w.p0[3].tag), mpc::tags::kExchangeE);
-  EXPECT_EQ(family(w.p0[4].tag), mpc::tags::kExchangeE);
-  EXPECT_EQ(w.p0[3].bytes, w.p0[4].bytes);
-  // [5]: the first open of the step, the activation's — flip@5's target.
-  std::size_t first_open = 0;
-  while (first_open < w.p0.size() &&
-         family(w.p0[first_open].tag) != mpc::tags::kOpenMasked) {
-    ++first_open;
+  // MLP step, and engine_chaos_test's plan the same step pipelined (the
+  // same sequence, per PipelinedWireOrder). Dense layer 1 sends its forward
+  // E/F pair; activation 1 then sends its two comparison products and opens
+  // them.
+  for (const bool pipeline : {false, true}) {
+    const Wire w = train_step(ml::ModelKind::kMlp, wire_opts(pipeline, false));
+    ASSERT_GE(w.p0.size(), 4u);
+    // [0]: layer 1's E/F pair, the widest forward message.
+    EXPECT_EQ(family(w.p0[0].tag), mpc::tags::kExchangeE);
+    EXPECT_GT(w.p0[0].bytes, w.p0[1].bytes);
+    // [1], [2]: the activation's two comparison products (same shapes) —
+    // engine_chaos_test's flip@1 corrupts the first, close@2 cuts the
+    // transport at the second.
+    EXPECT_EQ(family(w.p0[1].tag), mpc::tags::kExchangeE);
+    EXPECT_EQ(family(w.p0[2].tag), mpc::tags::kExchangeE);
+    EXPECT_EQ(w.p0[1].bytes, w.p0[2].bytes);
+    // [3]: the first open of the step, the activation's — flip@3's target.
+    std::size_t first_open = 0;
+    while (first_open < w.p0.size() &&
+           family(w.p0[first_open].tag) != mpc::tags::kOpenMasked) {
+      ++first_open;
+    }
+    EXPECT_EQ(first_open, 3u);
   }
-  EXPECT_EQ(first_open, 5u);
 }
 
 TEST(ChaosPlanPositions, RnnFirstStepActivation) {

@@ -65,7 +65,8 @@ const std::set<std::string>& declassifier_fns() {
 
 Model seeded_model() {
   Model model;
-  model.secret_types = {"SharePair", "TripletShare", "ActivationShare",
+  model.secret_types = {"SharePair",        "TripletShare",
+                        "ActivationShare",  "LayerShare",
                         "RingTripletShare", "TripletStore"};
   model.secret_fns = {"share_float", "share_ring", "random_seed"};
   model.taintout_fns = {
@@ -815,7 +816,10 @@ std::string FlowAnalysis::triplet_member(const std::string& text) const {
     if (j < text.size() && text[j] == '.') {
       j = skip_spaces_fwd(text, j + 1);
       const std::string m = ident_starting_at(text, j);
-      if ((m == "u" || m == "v" || m == "z") &&
+      // Beaver triplet members, and the layer material's correlated
+      // members (mpc::LayerShare): each masks or completes one product.
+      if ((m == "u" || m == "v" || m == "z" || m == "v2" || m == "z_dw" ||
+           m == "z_dx") &&
           (j + m.size() >= text.size() ||
            !ident_char(text[j + m.size()]))) {
         const auto vt = var_type_.find(root);

@@ -189,8 +189,8 @@ class FlowAnalysis {
   // Taint of a member/method chain rooted at `root`; advances *next.
   std::uint64_t chain_taint(const std::string& s, std::size_t ident_begin,
                             const std::string& root, std::size_t* next);
-  // Triplet-member expression (`root.u/.v/.z`) with a plausible triplet
-  // root, or "".
+  // Triplet-member expression (`root.u/.v/.z`, or a layer material's
+  // `.v2/.z_dw/.z_dx`) with a plausible triplet root, or "".
   std::string triplet_member(const std::string& text) const;
   // Signature-aware summary lookup for a call `name(args_text)`: argument
   // core types are resolved through var_type_ when an argument is a bare

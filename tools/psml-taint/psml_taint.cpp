@@ -43,7 +43,8 @@
 //                           function that masks other operands
 //
 // A second, flow-order pass checks the Beaver protocol shape itself in any
-// function that masks with triplet members (.u/.v/.z):
+// function that masks with triplet members (.u/.v/.z, and a layer
+// material's .v2/.z_dw/.z_dx):
 //   send-before-mask        a matrix is exchanged before (or without) being
 //                           masked, violating E_i = A_i - U_i before exchange
 //   triplet-double-consume  one triplet member feeds two distinct
