@@ -126,11 +126,9 @@ void SecureActivation::plan(std::vector<mpc::TripletSpec>& specs,
 }
 
 MatrixF SecureActivation::forward(SecureEnv& env, const MatrixF& x_i) {
-  auto& ctx = *env.ctx;
   PSML_REQUIRE(width_ == 0 || x_i.cols() == width_,
                "SecureActivation: width mismatch");
-  auto result = mpc::secure_activation(
-      ctx, x_i, skey(ctx, layer_id_, kPhaseForward, 0));
+  auto result = mpc::secure_activation(*env.ctx, x_i);
   grad_mask_ = std::move(result.grad_mask);
   return std::move(result.value_share);
 }
@@ -271,8 +269,7 @@ MatrixF SecureRnnLayer::forward(SecureEnv& env, const MatrixF& x_i) {
                                     key(ctx, kPhaseForward, t, 1));
     MatrixF z;
     tensor::add(zx, zh, z);
-    auto act =
-        mpc::secure_activation(ctx, z, key(ctx, kPhaseForward, t, 2));
+    auto act = mpc::secure_activation(ctx, z);
     h_cache_.push_back(std::move(act.value_share));
     mask_cache_.push_back(std::move(act.grad_mask));
   }

@@ -1,9 +1,8 @@
 // Secure elementwise (Hadamard) multiplication via Beaver triplets.
 //
 // Same protocol as secure_matmul with the products replaced by elementwise
-// ones:  C_i = (-i) E.*F + X_i.*F + E.*Y_i + Z_i. Used by the CNN
-// point-to-point multiplications (Sec. 7.2) and by the masked comparison in
-// the activation protocol.
+// ones:  C_i = (-i) E.*F + X_i.*F + E.*Y_i + Z_i. Used by the SVM hinge
+// loss's margin product.
 #pragma once
 
 #include <cstdint>

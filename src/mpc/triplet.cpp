@@ -16,6 +16,16 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Shares x under `seed` into `member` of both parties' halves.
+template <class Share>
+void split_into(std::pair<Share, Share>& out, const MatrixF& x,
+                std::type_identity_t<MatrixF Share::*> member,
+                std::uint64_t seed) {
+  auto s = share_float(x, seed);
+  out.first.*member = std::move(s.s0);
+  out.second.*member = std::move(s.s1);
+}
+
 }  // namespace
 
 void TripletStore::set_recycle(bool recycle) {
@@ -89,19 +99,17 @@ LayerShare TripletStore::pop_layer() {
 }
 
 std::size_t TripletStore::bytes() const {
-  auto triplet = [](const TripletShare& t) {
-    return t.u.bytes() + t.v.bytes() + t.z.bytes();
-  };
   std::size_t total = 0;
-  for (const auto& t : matmul_) total += triplet(t);
-  for (const auto& t : elem_) total += triplet(t);
-  for (const auto& a : act_) {
-    total += triplet(a.t_lo) + triplet(a.t_hi) + a.s_lo.bytes() +
-             a.s_hi.bytes();
-  }
-  for (const auto& l : layer_) {
-    total += triplet(l) + l.v2.bytes() + l.z_dw.bytes() + l.z_dx.bytes();
-  }
+  auto count_kind = [&total](const auto& queue) {
+    for (const auto& share : queue) {
+      for_each_matrix(share,
+                      [&total](const MatrixF& m) { total += m.bytes(); });
+    }
+  };
+  count_kind(matmul_);
+  count_kind(elem_);
+  count_kind(act_);
+  count_kind(layer_);
   return total;
 }
 
@@ -165,22 +173,24 @@ std::pair<TripletShare, TripletShare> TripletDealer::make_elementwise(
 
 std::pair<ActivationShare, ActivationShare> TripletDealer::make_activation(
     std::size_t m, std::size_t n) {
-  auto [lo0, lo1] = make_elementwise(m, n);
-  auto [hi0, hi1] = make_elementwise(m, n);
-
-  // Positive multiplicative masks. Bounded away from zero so sign(y * s)
-  // is numerically robust in float.
-  MatrixF s_lo(m, n), s_hi(m, n);
+  // U masks X exactly as a Beaver U would. The positive masks are bounded
+  // away from zero so sign(y * s) is numerically robust in float; being
+  // dealer randomness they serve as the products' second Beaver mask, so
+  // nothing about them is ever opened.
+  MatrixF u(m, n), s_lo(m, n), s_hi(m, n), z_lo, z_hi;
+  rng::fill_uniform_par(u, -1.0f, 1.0f, next_seed());
   rng::fill_uniform_par(s_lo, 0.5f, 2.0f, next_seed());
   rng::fill_uniform_par(s_hi, 0.5f, 2.0f, next_seed());
-  auto ss_lo = share_float(s_lo, next_seed());
-  auto ss_hi = share_float(s_hi, next_seed());
+  tensor::hadamard(u, s_lo, z_lo);
+  tensor::hadamard(u, s_hi, z_hi);
 
-  ActivationShare a0{std::move(lo0), std::move(hi0), std::move(ss_lo.s0),
-                     std::move(ss_hi.s0)};
-  ActivationShare a1{std::move(lo1), std::move(hi1), std::move(ss_lo.s1),
-                     std::move(ss_hi.s1)};
-  return {std::move(a0), std::move(a1)};
+  std::pair<ActivationShare, ActivationShare> out_pair;
+  split_into(out_pair, u, &ActivationShare::u, next_seed());
+  split_into(out_pair, s_lo, &ActivationShare::s_lo, next_seed());
+  split_into(out_pair, s_hi, &ActivationShare::s_hi, next_seed());
+  split_into(out_pair, z_lo, &ActivationShare::z_lo, next_seed());
+  split_into(out_pair, z_hi, &ActivationShare::z_hi, next_seed());
+  return out_pair;
 }
 
 std::pair<LayerShare, LayerShare> TripletDealer::make_layer(std::size_t b,
@@ -196,17 +206,12 @@ std::pair<LayerShare, LayerShare> TripletDealer::make_layer(std::size_t b,
   const MatrixF z_dx = product(v2, tensor::transpose(v));
 
   std::pair<LayerShare, LayerShare> out_pair;
-  auto split = [&](const MatrixF& x, MatrixF LayerShare::*member) {
-    auto s = share_float(x, next_seed());
-    out_pair.first.*member = std::move(s.s0);
-    out_pair.second.*member = std::move(s.s1);
-  };
-  split(u, &LayerShare::u);
-  split(v, &LayerShare::v);
-  split(v2, &LayerShare::v2);
-  split(z, &LayerShare::z);
-  split(z_dw, &LayerShare::z_dw);
-  split(z_dx, &LayerShare::z_dx);
+  split_into(out_pair, u, &LayerShare::u, next_seed());
+  split_into(out_pair, v, &LayerShare::v, next_seed());
+  split_into(out_pair, v2, &LayerShare::v2, next_seed());
+  split_into(out_pair, z, &LayerShare::z, next_seed());
+  split_into(out_pair, z_dw, &LayerShare::z_dw, next_seed());
+  split_into(out_pair, z_dx, &LayerShare::z_dx, next_seed());
   return out_pair;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,7 @@ namespace psml::mpc {
 enum class TripletKind : std::uint8_t {
   kMatMul = 0,       // U(mxk), V(kxn), Z = U x V
   kElementwise = 1,  // U, V, Z = U .* V, all (mxn)
-  kActivation = 2,   // two elementwise triplets + two positive masks (mxn)
+  kActivation = 2,   // mask U, positive masks S_lo/S_hi, U .* S (mxn)
   kLayer = 3,        // training layer, m = batch, k = in, n = out (LayerShare)
 };
 
@@ -46,9 +47,22 @@ struct TripletSpec {
   friend auto operator<=>(const TripletSpec&, const TripletSpec&) = default;
 };
 
+// Every material kind lists its matrices once, in a static `visit`, in the
+// kind's one serialized order; for_each_matrix below walks a share through
+// that list. TripletStore::bytes(), the durable codec (triplet_io) and the
+// client-to-server transfer (store_transfer) all use it, so a kind's layout
+// is stated in one place.
+
 // One server's share of a multiplication triplet (matmul or elementwise).
 struct PSML_SECRET TripletShare {
   MatrixF u, v, z;
+
+  template <class Self, class F>
+  static void visit(Self& self, F& f) {
+    f(self.u);
+    f(self.v);
+    f(self.z);
+  }
 };
 
 // One server's share of a training layer's correlated material. The
@@ -57,15 +71,38 @@ struct PSML_SECRET TripletShare {
 // dW = X^T x dY and Z_dx = V2 x V^T (b x in) serves dX = dY x W^T.
 struct PSML_SECRET LayerShare : TripletShare {
   MatrixF v2, z_dw, z_dx;
+
+  template <class Self, class F>
+  static void visit(Self& self, F& f) {
+    TripletShare::visit(self, f);
+    f(self.v2);
+    f(self.z_dw);
+    f(self.z_dx);
+  }
 };
 
-// One server's share of the activation-comparison material: Beaver triplets
-// for the two masked products and additive shares of the positive
-// multiplicative masks s1, s2 (see activation.hpp).
+// One server's share of the activation-comparison material: the mask U of
+// the pre-activation X, the positive multiplicative masks S_lo and S_hi, and
+// Z_lo = U .* S_lo, Z_hi = U .* S_hi (see activation.hpp). All m x n.
 struct PSML_SECRET ActivationShare {
-  TripletShare t_lo, t_hi;
-  MatrixF s_lo, s_hi;
+  MatrixF u, s_lo, s_hi, z_lo, z_hi;
+
+  template <class Self, class F>
+  static void visit(Self& self, F& f) {
+    f(self.u);
+    f(self.s_lo);
+    f(self.s_hi);
+    f(self.z_lo);
+    f(self.z_hi);
+  }
 };
+
+// Calls f on each matrix of `share` (which may be const) in its kind's
+// serialized order.
+template <class Share, class F>
+void for_each_matrix(Share& share, F&& f) {
+  std::remove_const_t<Share>::visit(share, f);
+}
 
 // FIFO store of one server's offline material.
 //

@@ -1,6 +1,7 @@
 #include "mpc/triplet_io.hpp"
 
 #include <cstring>
+#include <deque>
 
 #include "common/durable_io.hpp"
 #include "common/error.hpp"
@@ -14,6 +15,12 @@ constexpr std::uint32_t kTripletSection = durable::section_tag("TRIP");
 constexpr std::uint32_t kPoolSpecSection = durable::section_tag("TSPC");
 constexpr std::uint32_t kPoolParty0Section = durable::section_tag("TRP0");
 constexpr std::uint32_t kPoolParty1Section = durable::section_tag("TRP1");
+
+// First word of every store payload; change it whenever a kind's matrix
+// list changes. A payload of an earlier layout starts with its matmul count
+// instead, which is never this value, so it fails decode with IOError
+// instead of parsing as the current layout.
+constexpr std::uint32_t kStoreLayout = durable::section_tag("TRL3");
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -44,11 +51,12 @@ class Reader {
     pos_ += n;
   }
 
+  std::size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return pos_ == bytes_.size(); }
 
  private:
   void need(std::size_t n) {
-    if (bytes_.size() - pos_ < n) {
+    if (remaining() < n) {
       throw IOError("triplet_io: truncated payload");
     }
   }
@@ -73,81 +81,60 @@ void put_matrix(std::vector<std::uint8_t>& out, const MatrixF& m) {
 MatrixF get_matrix(Reader& r) {
   const std::uint32_t rows = r.u32();
   const std::uint32_t cols = r.u32();
+  // Check the claimed size against the bytes left before allocating: a
+  // corrupt header must fail typed, not as a huge allocation.
+  const std::uint64_t floats = std::uint64_t{rows} * cols;
+  if (floats > r.remaining() / sizeof(float)) {
+    throw IOError("triplet_io: matrix larger than the remaining payload");
+  }
   MatrixF m(rows, cols);
   r.bytes_into(m.data(), m.bytes());
   return m;
 }
 
-void put_triplet(std::vector<std::uint8_t>& out, const TripletShare& t) {
-  put_matrix(out, t.u);
-  put_matrix(out, t.v);
-  put_matrix(out, t.z);
+// One kind's material: u32 count | share*, each share's matrices in
+// for_each_matrix order.
+template <class Share>
+void put_kind(std::vector<std::uint8_t>& out, const std::deque<Share>& q) {
+  put_u32(out, static_cast<std::uint32_t>(q.size()));
+  for (const Share& share : q) {
+    for_each_matrix(share, [&out](const MatrixF& m) { put_matrix(out, m); });
+  }
 }
 
-TripletShare get_triplet(Reader& r) {
-  TripletShare t;
-  t.u = get_matrix(r);
-  t.v = get_matrix(r);
-  t.z = get_matrix(r);
-  return t;
+template <class Share>
+void get_kind(Reader& r, TripletStore& store,
+              void (TripletStore::*push)(Share)) {
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Share share;
+    for_each_matrix(share, [&r](MatrixF& m) { m = get_matrix(r); });
+    (store.*push)(std::move(share));
+  }
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_store(const TripletStore& store) {
   std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(store.matmuls().size()));
-  put_u32(out, static_cast<std::uint32_t>(store.elementwises().size()));
-  put_u32(out, static_cast<std::uint32_t>(store.activations().size()));
-  for (const TripletShare& t : store.matmuls()) put_triplet(out, t);
-  for (const TripletShare& t : store.elementwises()) put_triplet(out, t);
-  for (const ActivationShare& a : store.activations()) {
-    put_triplet(out, a.t_lo);
-    put_triplet(out, a.t_hi);
-    put_matrix(out, a.s_lo);
-    put_matrix(out, a.s_hi);
-  }
-  put_u32(out, static_cast<std::uint32_t>(store.layers().size()));
-  for (const LayerShare& l : store.layers()) {
-    put_triplet(out, l);
-    put_matrix(out, l.v2);
-    put_matrix(out, l.z_dw);
-    put_matrix(out, l.z_dx);
-  }
+  put_u32(out, kStoreLayout);
+  put_kind(out, store.matmuls());
+  put_kind(out, store.elementwises());
+  put_kind(out, store.activations());
+  put_kind(out, store.layers());
   return out;
 }
 
 TripletStore decode_store(const std::vector<std::uint8_t>& bytes) {
   Reader r(bytes);
-  const std::uint32_t n_matmul = r.u32();
-  const std::uint32_t n_elem = r.u32();
-  const std::uint32_t n_act = r.u32();
+  if (r.u32() != kStoreLayout) {
+    throw IOError("triplet_io: store payload of an unknown layout");
+  }
   TripletStore store;
-  for (std::uint32_t i = 0; i < n_matmul; ++i) {
-    store.push_matmul(get_triplet(r));
-  }
-  for (std::uint32_t i = 0; i < n_elem; ++i) {
-    store.push_elementwise(get_triplet(r));
-  }
-  for (std::uint32_t i = 0; i < n_act; ++i) {
-    ActivationShare a;
-    a.t_lo = get_triplet(r);
-    a.t_hi = get_triplet(r);
-    a.s_lo = get_matrix(r);
-    a.s_hi = get_matrix(r);
-    store.push_activation(std::move(a));
-  }
-  // Payloads written before layer material existed end here: they load
-  // with none.
-  const std::uint32_t n_layer = r.done() ? 0 : r.u32();
-  for (std::uint32_t i = 0; i < n_layer; ++i) {
-    LayerShare l;
-    static_cast<TripletShare&>(l) = get_triplet(r);
-    l.v2 = get_matrix(r);
-    l.z_dw = get_matrix(r);
-    l.z_dx = get_matrix(r);
-    store.push_layer(std::move(l));
-  }
+  get_kind(r, store, &TripletStore::push_matmul);
+  get_kind(r, store, &TripletStore::push_elementwise);
+  get_kind(r, store, &TripletStore::push_activation);
+  get_kind(r, store, &TripletStore::push_layer);
   if (!r.done()) {
     throw IOError("triplet_io: trailing bytes after store payload");
   }

@@ -15,15 +15,17 @@
 // (audited in docs/ANALYSIS.md).
 //
 // Format: one durable_io section "TRIP" whose payload is
-//   u32 n_matmul | u32 n_elem | u32 n_act | matmul* | elem* | act*
-//   | u32 n_layer | layer*
-// where a triplet is three matrices (u, v, z), an activation is two triplets
-// plus two mask matrices, a layer is a triplet plus (v2, z_dw, z_dx), and a
-// matrix is u32 rows | u32 cols | f32 data. A payload that ends after act*
-// (written before layer material existed) decodes with no layer material;
-// an older decoder rejects a newer payload as trailing bytes (IOError).
+//   u32 layout | u32 n_matmul | matmul* | u32 n_elem | elem*
+//   | u32 n_act | act* | u32 n_layer | layer*
+// where each entry is its kind's matrices in for_each_matrix order
+// (triplet.hpp) and a matrix is u32 rows | u32 cols | f32 data. The layout
+// word marks the current matrix lists: a payload of an earlier layout
+// (whose activation entries held eight matrices, not five) fails with
+// IOError, so a stale store or pool file is rejected, never misparsed.
 // Corruption anywhere is caught by the section CRC (IOError) before this
-// decoder runs; decode length checks are a second line of defence.
+// decoder runs; decode length checks — every matrix header is checked
+// against the bytes left before anything is allocated — are a second line
+// of defence.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,8 @@
 namespace psml::mpc {
 
 // In-memory encode/decode of the "TRIP" payload (unit-testable without the
-// filesystem). decode_store throws IOError on truncation or trailing bytes.
+// filesystem). decode_store throws IOError on an unknown layout word,
+// truncation or trailing bytes.
 std::vector<std::uint8_t> encode_store(const TripletStore& store);
 TripletStore decode_store(const std::vector<std::uint8_t>& bytes);
 

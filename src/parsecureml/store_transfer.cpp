@@ -1,6 +1,7 @@
 #include "parsecureml/store_transfer.hpp"
 
 #include <cstring>
+#include <deque>
 
 #include "common/taint.hpp"
 #include "mpc/party.hpp"
@@ -24,18 +25,30 @@ struct StoreHeader {
 // offline material — the one party entitled to exactly these words. The
 // other server's share never crosses this channel, so the additive masking
 // stays information-theoretic (paper Sec. 2.2, client-aided dealer model).
-void send_triplet(net::Channel& ch, const mpc::TripletShare& t) {
-  net::send_matrix(ch, kStoreMatrix, psml::declassify(t.u));
-  net::send_matrix(ch, kStoreMatrix, psml::declassify(t.v));
-  net::send_matrix(ch, kStoreMatrix, psml::declassify(t.z));
+void send_share_matrix(net::Channel& ch, const MatrixF& m) {
+  net::send_matrix(ch, kStoreMatrix, psml::declassify(m));
 }
 
-mpc::TripletShare recv_triplet(net::Channel& ch) {
-  mpc::TripletShare t;
-  t.u = net::recv_matrix_f32(ch, kStoreMatrix);
-  t.v = net::recv_matrix_f32(ch, kStoreMatrix);
-  t.z = net::recv_matrix_f32(ch, kStoreMatrix);
-  return t;
+// One message per matrix, so neither side ever holds a second copy of the
+// whole store.
+template <class Share>
+void send_kind(net::Channel& ch, const std::deque<Share>& q) {
+  for (const Share& share : q) {
+    mpc::for_each_matrix(
+        share, [&ch](const MatrixF& m) { send_share_matrix(ch, m); });
+  }
+}
+
+template <class Share>
+void recv_kind(net::Channel& ch, std::uint32_t n, mpc::TripletStore& store,
+               void (mpc::TripletStore::*push)(Share)) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Share share;
+    mpc::for_each_matrix(share, [&ch](MatrixF& m) {
+      m = net::recv_matrix_f32(ch, kStoreMatrix);
+    });
+    (store.*push)(std::move(share));
+  }
 }
 
 }  // namespace
@@ -49,22 +62,10 @@ void send_store(net::Channel& ch, const mpc::TripletStore& store) {
   std::memcpy(buf.data(), &h, sizeof(h));
   ch.send(kStoreHeader, buf);
 
-  for (const auto& t : store.matmuls()) send_triplet(ch, t);
-  for (const auto& t : store.elementwises()) send_triplet(ch, t);
-  for (const auto& a : store.activations()) {
-    send_triplet(ch, a.t_lo);
-    send_triplet(ch, a.t_hi);
-    // Same dealer-to-owner handoff as send_triplet above.
-    net::send_matrix(ch, kStoreMatrix, psml::declassify(a.s_lo));
-    net::send_matrix(ch, kStoreMatrix, psml::declassify(a.s_hi));
-  }
-  for (const auto& l : store.layers()) {
-    send_triplet(ch, l);
-    // Same dealer-to-owner handoff as send_triplet above.
-    net::send_matrix(ch, kStoreMatrix, psml::declassify(l.v2));
-    net::send_matrix(ch, kStoreMatrix, psml::declassify(l.z_dw));
-    net::send_matrix(ch, kStoreMatrix, psml::declassify(l.z_dx));
-  }
+  send_kind(ch, store.matmuls());
+  send_kind(ch, store.elementwises());
+  send_kind(ch, store.activations());
+  send_kind(ch, store.layers());
 }
 
 mpc::TripletStore recv_store(net::Channel& ch) {
@@ -76,28 +77,10 @@ mpc::TripletStore recv_store(net::Channel& ch) {
   std::memcpy(&h, msg.payload.data(), sizeof(h));
 
   mpc::TripletStore store;
-  for (std::uint32_t i = 0; i < h.n_matmul; ++i) {
-    store.push_matmul(recv_triplet(ch));
-  }
-  for (std::uint32_t i = 0; i < h.n_elem; ++i) {
-    store.push_elementwise(recv_triplet(ch));
-  }
-  for (std::uint32_t i = 0; i < h.n_act; ++i) {
-    mpc::ActivationShare a;
-    a.t_lo = recv_triplet(ch);
-    a.t_hi = recv_triplet(ch);
-    a.s_lo = net::recv_matrix_f32(ch, kStoreMatrix);
-    a.s_hi = net::recv_matrix_f32(ch, kStoreMatrix);
-    store.push_activation(std::move(a));
-  }
-  for (std::uint32_t i = 0; i < h.n_layer; ++i) {
-    mpc::LayerShare l;
-    static_cast<mpc::TripletShare&>(l) = recv_triplet(ch);
-    l.v2 = net::recv_matrix_f32(ch, kStoreMatrix);
-    l.z_dw = net::recv_matrix_f32(ch, kStoreMatrix);
-    l.z_dx = net::recv_matrix_f32(ch, kStoreMatrix);
-    store.push_layer(std::move(l));
-  }
+  recv_kind(ch, h.n_matmul, store, &mpc::TripletStore::push_matmul);
+  recv_kind(ch, h.n_elem, store, &mpc::TripletStore::push_elementwise);
+  recv_kind(ch, h.n_act, store, &mpc::TripletStore::push_activation);
+  recv_kind(ch, h.n_layer, store, &mpc::TripletStore::push_layer);
   return store;
 }
 

@@ -349,10 +349,10 @@ TEST(ResilientTraining, RecoversFromTransientBitFlip) {
   mc.input_dim = ds.geometry.features();
   mc.classes = 10;
   mc.seed = 76;
-  // Send 3 is the first activation's open (after layer 1's E/F pair and
-  // the activation's two comparison products; pinned by
+  // Send 2 is the first activation's paired open of its masked products
+  // (after layer 1's E/F pair and the activation's E open; pinned by
   // ChaosPlanPositions.MlpFirstLayerAndActivation in wire_order_test.cpp).
-  expect_recovery_from_bit_flip(mc, ds.x, ds.y, "flip@3");
+  expect_recovery_from_bit_flip(mc, ds.x, ds.y, "flip@2");
 }
 
 TEST(ResilientTraining, RnnRecoversFromTransientBitFlip) {
@@ -365,10 +365,10 @@ TEST(ResilientTraining, RnnRecoversFromTransientBitFlip) {
   mc.seed = 76;
   const MatrixF x = random_matrix(8, 3 * 6, 75, -0.4f, 0.4f);
   const MatrixF y = random_matrix(8, 1, 76, 0.0f, 1.0f);
-  // Send 4 is the first timestep's activation open (after the E/F pairs of
-  // x_0 W_x and h_0 W_h and the activation's two comparison products;
-  // pinned by ChaosPlanPositions.RnnFirstStepActivation).
-  expect_recovery_from_bit_flip(mc, x, y, "flip@4");
+  // Send 3 is the first timestep's paired activation open (after the E/F
+  // pairs of x_0 W_x and h_0 W_h and the activation's E open; pinned by
+  // ChaosPlanPositions.RnnFirstStepActivation).
+  expect_recovery_from_bit_flip(mc, x, y, "flip@3");
 }
 
 TEST(ResilientTraining, ExhaustedRetriesRethrowAndRollBack) {
@@ -390,9 +390,9 @@ TEST(ResilientTraining, ExhaustedRetriesRethrowAndRollBack) {
   auto xs = mpc::share_float(ds.x, 88);
   auto ys = mpc::share_float(ds.y, 89);
 
-  // close@2 (the first activation's second comparison product) kills the
-  // transport for good: no amount of retries can succeed, so the policy
-  // must give up with the typed error after max_attempts.
+  // close@2 (the first activation's paired open of its masked products)
+  // kills the transport for good: no amount of retries can succeed, so the
+  // policy must give up with the typed error after max_attempts.
   auto chans = net::FaultInjectChannel::wrap_pair(
       net::LocalChannel::make_pair(), net::FaultPlan::parse("close@2"),
       net::FaultPlan{}, 13);

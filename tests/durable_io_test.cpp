@@ -291,14 +291,10 @@ void expect_store_eq(const mpc::TripletStore& a, const mpc::TripletStore& b) {
     expect_near(a.elementwises()[i].z, b.elementwises()[i].z, 0.0, "elem z");
   }
   for (std::size_t i = 0; i < a.activation_size(); ++i) {
-    expect_near(a.activations()[i].t_lo.u, b.activations()[i].t_lo.u, 0.0,
-                "act lo u");
-    expect_near(a.activations()[i].t_hi.z, b.activations()[i].t_hi.z, 0.0,
-                "act hi z");
-    expect_near(a.activations()[i].s_lo, b.activations()[i].s_lo, 0.0,
-                "act s_lo");
-    expect_near(a.activations()[i].s_hi, b.activations()[i].s_hi, 0.0,
-                "act s_hi");
+    const mpc::ActivationShare& aa = a.activations()[i];
+    const mpc::ActivationShare& ab = b.activations()[i];
+    EXPECT_TRUE(aa.u == ab.u && aa.s_lo == ab.s_lo && aa.s_hi == ab.s_hi);
+    EXPECT_TRUE(aa.z_lo == ab.z_lo && aa.z_hi == ab.z_hi);
   }
   ASSERT_EQ(a.layer_size(), b.layer_size());
   for (std::size_t i = 0; i < a.layer_size(); ++i) {
@@ -309,52 +305,37 @@ void expect_store_eq(const mpc::TripletStore& a, const mpc::TripletStore& b) {
   }
 }
 
-// The "TRIP" payload as written before layer material existed: the current
-// encoding of a store without layers, minus its trailing n_layer word.
-std::vector<std::uint8_t> pre_layer_payload(const mpc::TripletStore& store) {
-  EXPECT_EQ(store.layer_size(), 0u);
-  std::vector<std::uint8_t> bytes = mpc::encode_store(store);
-  bytes.resize(bytes.size() - 4);
-  return bytes;
-}
-
-mpc::TripletStore dealt_pre_layer_store(std::uint64_t seed) {
-  mpc::TripletDealer dealer(nullptr, {false, false, seed});
-  return dealer
-      .generate({{mpc::TripletKind::kMatMul, 4, 3, 2},
-                 {mpc::TripletKind::kActivation, 2, 0, 2}})
-      .first;
-}
-
-TEST(TripletIo, PreLayerStoreLoadsWithoutLayerMaterial) {
-  const mpc::TripletStore store = dealt_pre_layer_store(14);
-  const mpc::TripletStore back = mpc::decode_store(pre_layer_payload(store));
-  expect_store_eq(store, back);
-  EXPECT_EQ(back.layer_size(), 0u);
-}
-
-TEST(TripletIo, PreLayerPoolFileLoads) {
-  // A pool file of the old layout: spec section plus two pre-layer halves.
-  mpc::TripletDealer dealer(nullptr, {false, false, 15});
-  auto [s0, s1] = dealer.generate({{mpc::TripletKind::kMatMul, 4, 3, 2},
-                                   {mpc::TripletKind::kMatMul, 4, 3, 2}});
-  durable::Section spec;
-  spec.tag = durable::section_tag("TSPC");
-  for (const std::uint32_t w : {0u, 4u, 3u, 2u}) {  // kMatMul 4 x 3 x 2
-    for (int b = 0; b < 4; ++b) {
-      spec.payload.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
-    }
-  }
-  durable::Section p0{durable::section_tag("TRP0"), pre_layer_payload(s0)};
-  durable::Section p1{durable::section_tag("TRP1"), pre_layer_payload(s1)};
-  const std::string path = "/tmp/psml_pre_layer_pool.psmd";
-  durable::write_sections(path, {spec, p0, p1});
-  const mpc::PoolFile f = mpc::load_pool_file(path);
-  EXPECT_EQ(f.spec.kind, mpc::TripletKind::kMatMul);
-  EXPECT_EQ(f.spec.k, 3u);
-  expect_store_eq(s0, f.s0);
-  expect_store_eq(s1, f.s1);
+TEST(TripletIo, OldLayoutStoreRejected) {
+  // A payload written before the layout word — here with two activations
+  // of eight b x w matrices each — must fail typed, not parse its first
+  // five matrices as a current activation.
+  EXPECT_THROW(mpc::decode_store(psml::test::old_layout_payload(2, 3, 4)),
+               IOError);
+  // The same through the durable file path resumable training loads.
+  durable::Section s{durable::section_tag("TRIP"),
+                     psml::test::old_layout_payload(2, 3, 4)};
+  const std::string path = "/tmp/psml_old_layout_store.psmd";
+  durable::write_sections(path, {s});
+  EXPECT_THROW(mpc::load_store(path), IOError);
   durable::remove_file(path);
+}
+
+TEST(TripletIo, OldLayoutPoolFileRejected) {
+  const std::string path = "/tmp/psml_old_layout_pool.psmd";
+  psml::test::write_old_layout_pool_file(path, 3, 4);
+  EXPECT_THROW(mpc::load_pool_file(path), IOError);
+  durable::remove_file(path);
+}
+
+TEST(TripletIo, OversizedMatrixHeaderRejected) {
+  // A matrix header claiming 0xFFFFFFFF x 0xFFFFFFFF floats must fail with
+  // IOError before anything is allocated.
+  mpc::TripletDealer dealer(nullptr, {false, false, 17});
+  std::vector<std::uint8_t> bytes = mpc::encode_store(
+      dealer.generate({{mpc::TripletKind::kMatMul, 2, 2, 2}}).first);
+  // The first matrix header follows the layout word and the matmul count.
+  for (std::size_t i = 8; i < 16; ++i) bytes[i] = 0xff;
+  EXPECT_THROW(mpc::decode_store(bytes), IOError);
 }
 
 TEST(TripletIo, LayerPoolFileRoundTrip) {

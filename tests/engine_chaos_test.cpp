@@ -139,9 +139,9 @@ TEST(EngineChaos, TrainingSurvivesInjectedDisconnect) {
 
 TEST(EngineChaos, ResilientTrainingRecoversWithEngineScheduling) {
   // Mirror of ResilientTraining.RecoversFromTransientBitFlip with the
-  // pipeline on: the corrupted frame fails the first activation's first
-  // comparison product, the retry loop drains the engine, rolls back,
-  // resyncs, and the retried step matches plaintext.
+  // pipeline on: the corrupted frame fails the first activation's E open,
+  // the retry loop drains the engine, rolls back, resyncs, and the retried
+  // step matches plaintext.
   const std::size_t batch = 8;
   const auto ds = data::make_dataset(data::DatasetKind::kMnist,
                                      data::LabelScheme::kOneHot10, batch, 65);
@@ -161,7 +161,7 @@ TEST(EngineChaos, ResilientTrainingRecoversWithEngineScheduling) {
   auto xs = mpc::share_float(ds.x, 68);
   auto ys = mpc::share_float(ds.y, 69);
 
-  // Send 1 is that comparison product (after layer 1's E/F pair; pinned by
+  // Send 1 is that E open (after layer 1's E/F pair; pinned by
   // ChaosPlanPositions.MlpFirstLayerAndActivation in wire_order_test.cpp).
   auto chans = net::FaultInjectChannel::wrap_pair(
       net::LocalChannel::make_pair(), net::FaultPlan::parse("flip@1"),

@@ -2,6 +2,8 @@
 // models, phase accounting, compression stats, and accuracy.
 #include <gtest/gtest.h>
 
+#include "common/durable_io.hpp"
+#include "mpc/triplet_io.hpp"
 #include "parsecureml/framework.hpp"
 #include "parsecureml/store_transfer.hpp"
 #include "net/local_channel.hpp"
@@ -154,10 +156,13 @@ TEST(Framework, OfflinePhaseBreakdownPopulated) {
 }
 
 TEST(StoreTransfer, RoundTripsAllKinds) {
+  // One entry of every kind comes back bit-identical through the
+  // client-to-server transfer and through the durable store file.
   mpc::TripletDealer dealer(nullptr, {false, false, 1010});
   auto [st0, st1] = dealer.generate({{mpc::TripletKind::kMatMul, 4, 6, 5},
                                      {mpc::TripletKind::kElementwise, 3, 0, 7},
-                                     {mpc::TripletKind::kActivation, 2, 0, 9}});
+                                     {mpc::TripletKind::kActivation, 2, 0, 9},
+                                     {mpc::TripletKind::kLayer, 3, 4, 2}});
   auto chans = net::LocalChannel::make_pair();
   std::thread sender([&] { send_store(*chans.a, st0); });
   mpc::TripletStore received = recv_store(*chans.b);
@@ -165,11 +170,32 @@ TEST(StoreTransfer, RoundTripsAllKinds) {
   ASSERT_EQ(received.matmul_size(), 1u);
   ASSERT_EQ(received.elementwise_size(), 1u);
   ASSERT_EQ(received.activation_size(), 1u);
-  const auto t = received.pop_matmul();
-  EXPECT_TRUE(t.u == st0.matmuls()[0].u);
-  EXPECT_TRUE(t.z == st0.matmuls()[0].z);
+  ASSERT_EQ(received.layer_size(), 1u);
+  EXPECT_TRUE(mpc::encode_store(received) == mpc::encode_store(st0));
   const auto a = received.pop_activation();
-  EXPECT_TRUE(a.s_lo == st0.activations()[0].s_lo);
+  const auto& want = st0.activations()[0];
+  EXPECT_TRUE(a.u == want.u && a.s_lo == want.s_lo && a.s_hi == want.s_hi &&
+              a.z_lo == want.z_lo && a.z_hi == want.z_hi);
+
+  const std::string path = "/tmp/psml_store_transfer_kinds.psmd";
+  mpc::save_store(path, st0);
+  EXPECT_TRUE(mpc::encode_store(mpc::load_store(path)) ==
+              mpc::encode_store(st0));
+  durable::remove_file(path);
+
+  // bytes() is the sum of every matrix, each kind's members listed here
+  // independently of the store's own matrix lists.
+  std::size_t sum = 0;
+  const auto& t = st0.matmuls()[0];
+  sum += t.u.bytes() + t.v.bytes() + t.z.bytes();
+  const auto& e = st0.elementwises()[0];
+  sum += e.u.bytes() + e.v.bytes() + e.z.bytes();
+  sum += want.u.bytes() + want.s_lo.bytes() + want.s_hi.bytes() +
+         want.z_lo.bytes() + want.z_hi.bytes();
+  const auto& l = st0.layers()[0];
+  sum += l.u.bytes() + l.v.bytes() + l.z.bytes() + l.v2.bytes() +
+         l.z_dw.bytes() + l.z_dx.bytes();
+  EXPECT_EQ(st0.bytes(), sum);
 }
 
 TEST(Framework, MiniBatchSecureMatchesPlain) {

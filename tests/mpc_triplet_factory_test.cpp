@@ -355,5 +355,25 @@ TEST(Factory, TornPoolFileIsSkippedAndCounted) {
   EXPECT_EQ(m.specs, 0u);  // regenerable material: skip, don't crash
 }
 
+TEST(Factory, OldLayoutPoolFileIsSkippedAndCounted) {
+  // A pool file written before the store layout word — two activations of
+  // the old eight-matrix layout per half — fails with IOError inside load,
+  // which skips it like a torn file instead of letting it escape restart.
+  const std::string dir = "/tmp/psml_factory_old_layout_test";
+  durable::ensure_dir(dir);
+  for (const std::string& name : durable::list_dir(dir)) {
+    durable::remove_file(dir + "/" + name);
+  }
+  psml::test::write_old_layout_pool_file(dir + "/pool_2_3x0x4.psmd", 3, 4);
+
+  FactoryOptions opts = cpu_opts(1, 2, 1, 915);
+  opts.persist_dir = dir;
+  TripletFactory g(nullptr, opts);
+  const auto m = g.metrics();
+  EXPECT_EQ(m.load_errors, 1u);
+  EXPECT_EQ(m.loaded, 0u);
+  EXPECT_EQ(m.specs, 0u);
+}
+
 }  // namespace
 }  // namespace psml::mpc

@@ -70,8 +70,26 @@ TEST(Dealer, ActivationMasksArePositive) {
   for (std::size_t i = 0; i < s_lo.size(); ++i) {
     ASSERT_GE(s_lo.data()[i], 0.5f - 1e-3f);
     ASSERT_LE(s_lo.data()[i], 2.0f + 1e-3f);
-    ASSERT_GT(s_hi.data()[i], 0.0f);
+    ASSERT_GE(s_hi.data()[i], 0.5f - 1e-3f);
+    ASSERT_LE(s_hi.data()[i], 2.0f + 1e-3f);
   }
+}
+
+TEST(Dealer, ActivationMaterialInvariant) {
+  // Reconstructed Z_lo and Z_hi are U .* S_lo and U .* S_hi: the positive
+  // masks stand in the Beaver V's place, so the products need no F open.
+  TripletDealer dealer(nullptr, {false, false, 818});
+  auto [a0, a1] = dealer.make_activation(6, 11);
+  const MatrixF u = reconstruct_float(a0.u, a1.u);
+  EXPECT_EQ(u.rows(), 6u);
+  EXPECT_EQ(u.cols(), 11u);
+  MatrixF want_lo, want_hi;
+  tensor::hadamard(u, reconstruct_float(a0.s_lo, a1.s_lo), want_lo);
+  tensor::hadamard(u, reconstruct_float(a0.s_hi, a1.s_hi), want_hi);
+  expect_near(reconstruct_float(a0.z_lo, a1.z_lo), want_lo, 1e-3,
+              "Z_lo = U .* S_lo");
+  expect_near(reconstruct_float(a0.z_hi, a1.z_hi), want_hi, 1e-3,
+              "Z_hi = U .* S_hi");
 }
 
 TEST(Dealer, DeterministicInSeed) {
@@ -109,6 +127,11 @@ TEST(Store, BytesAccounting) {
   EXPECT_EQ(l0.layer_size(), 1u);
   EXPECT_EQ(l0.bytes(), 448u);
   EXPECT_EQ(l1.bytes(), 448u);
+
+  auto [a0, a1] = dealer.generate({{TripletKind::kActivation, 2, 0, 3}});
+  // u, s_lo, s_hi, z_lo, z_hi: five 2x3 matrices = 30 floats = 120 bytes.
+  EXPECT_EQ(a0.bytes(), 120u);
+  EXPECT_EQ(a1.bytes(), 120u);
 }
 
 TEST(Store, LayerRetainMarkRewindAndRecycle) {

@@ -7,9 +7,12 @@
 // four-tool allowlist budget (psml-lint + psml-taint + psml-ct + psml-sync
 // share one <=10-entry budget; see docs/ANALYSIS.md §9).
 //
+// Also runs the tool over the project's own sources, asserting that its
+// call summaries converge and that the lock graph stays finding-free.
+//
 // Invocation (wired up in tests/CMakeLists.txt):
 //   sync_selftest <psml-sync> <fixtures-dir> <lint-allowlist>
-//                 <taint-allowlist> <ct-allowlist> <sync-allowlist>
+//                 <taint-allowlist> <ct-allowlist> <sync-allowlist> <src-dir>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@ namespace {
 std::string g_sync_bin;
 fs::path g_fixtures;
 fs::path g_allowlists[4];  // psml-lint, psml-taint, psml-ct, psml-sync
+fs::path g_src;
 
 }  // namespace
 
@@ -120,12 +124,28 @@ TEST(SyncSelftest, CombinedAllowlistBudgetWithinTen) {
          "exceeded; fix or annotate the code instead of suppressing";
 }
 
+TEST(SyncSelftest, SourceSummariesConvergeAndGraphIsAcyclic) {
+  // The lock graph is only as complete as the call summaries it is built
+  // from: the run must report convergence (a run that hits the round bound
+  // exits 2 with no graph), and with the project allowlist it must find no
+  // lock-order cycle or other violation.
+  const fs::path dot = temp_file("psml_selftest_sync_src.dot");
+  const ToolRun r = run_tool(g_sync_bin + " --allowlist " +
+                             g_allowlists[3].string() + " --dot " +
+                             dot.string() + " " + g_src.string());
+  EXPECT_NE(r.output.find("call summaries converged in"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(read_file(dot).find("digraph"), std::string::npos);
+  fs::remove(dot);
+}
+
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  if (argc < 7) {
+  if (argc < 8) {
     std::fprintf(stderr,
                  "usage: sync_selftest SYNC_BIN FIXTURE_DIR LINT_ALLOWLIST "
-                 "TAINT_ALLOWLIST CT_ALLOWLIST SYNC_ALLOWLIST\n");
+                 "TAINT_ALLOWLIST CT_ALLOWLIST SYNC_ALLOWLIST SRC_DIR\n");
     return 2;
   }
   g_sync_bin = argv[1];
@@ -134,5 +154,6 @@ int main(int argc, char** argv) {
   g_allowlists[1] = argv[4];
   g_allowlists[2] = argv[5];
   g_allowlists[3] = argv[6];
+  g_src = argv[7];
   return RUN_ALL_TESTS();
 }

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/durable_io.hpp"
 #include "mpc/party.hpp"
 #include "net/local_channel.hpp"
 #include "rng/rng.hpp"
@@ -75,6 +79,52 @@ inline void run_parties(
   t1.join();
   if (err0) std::rethrow_exception(err0);
   if (err1) std::rethrow_exception(err1);
+}
+
+// A triplet-store payload of the layout before the layout word:
+//   u32 n_matmul | u32 n_elem | u32 n_act | act* | u32 n_layer
+// holding only `n_act` activations of that layout — two (u, v, z) triplets
+// plus S_lo and S_hi, eight rows x cols matrices each.
+inline std::vector<std::uint8_t> old_layout_payload(std::uint32_t n_act,
+                                                    std::uint32_t rows,
+                                                    std::uint32_t cols) {
+  std::vector<std::uint8_t> out;
+  auto put_u32 = [&out](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  put_u32(0);  // n_matmul
+  put_u32(0);  // n_elem
+  put_u32(n_act);
+  const float value = 0.75f;
+  std::uint32_t word = 0;
+  std::memcpy(&word, &value, sizeof(word));
+  for (std::uint32_t m = 0; m < 8 * n_act; ++m) {
+    put_u32(rows);
+    put_u32(cols);
+    for (std::uint32_t i = 0; i < rows * cols; ++i) put_u32(word);
+  }
+  put_u32(0);  // n_layer
+  return out;
+}
+
+// A TripletFactory pool file of that layout for the activation spec
+// rows x cols: its spec section and both halves, two activations each.
+inline void write_old_layout_pool_file(const std::string& path,
+                                       std::uint32_t rows,
+                                       std::uint32_t cols) {
+  durable::Section spec{durable::section_tag("TSPC"), {}};
+  for (const std::uint32_t w : {2u, rows, 0u, cols}) {  // kActivation
+    for (int b = 0; b < 4; ++b) {
+      spec.payload.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+    }
+  }
+  durable::Section p0{durable::section_tag("TRP0"),
+                      old_layout_payload(2, rows, cols)};
+  durable::Section p1{durable::section_tag("TRP1"),
+                      old_layout_payload(2, rows, cols)};
+  durable::write_sections(path, {spec, p0, p1});
 }
 
 }  // namespace psml::test

@@ -18,9 +18,11 @@
 
 #include "ml/models.hpp"
 #include "ml/secure/secure_model.hpp"
+#include "mpc/activation.hpp"
 #include "mpc/party.hpp"
 #include "mpc/share.hpp"
 #include "net/local_channel.hpp"
+#include "net/serialize.hpp"
 #include "test_util.hpp"
 
 namespace psml {
@@ -248,73 +250,92 @@ INSTANTIATE_TEST_SUITE_P(Models, CompressedWireOrder, kWireModels,
 TEST(StepSends, PinnedPerModel) {
   // Messages each party sends in one training step. A dense or conv layer
   // sends its forward E/F pair and its backward F' = dY - V2; an
-  // activation sends two comparison products and two opens; party 0 also
-  // sends one refresh per parameter gradient. The RNN keeps independent
-  // triplets: one E/F pair per product.
+  // activation opens E = X - U and then both masked products in one frame;
+  // party 0 also sends one refresh per parameter gradient. The RNN keeps
+  // independent triplets: one E/F pair per product.
   struct Want {
     ml::ModelKind kind;
     std::size_t p0, p1;
   };
-  for (const Want& w : {Want{ml::ModelKind::kMlp, 20, 14},
-                        Want{ml::ModelKind::kCnn, 19, 14},
-                        Want{ml::ModelKind::kLogistic, 8, 6},
+  for (const Want& w : {Want{ml::ModelKind::kMlp, 16, 10},
+                        Want{ml::ModelKind::kCnn, 15, 10},
+                        Want{ml::ModelKind::kLogistic, 6, 4},
                         Want{ml::ModelKind::kSvm, 7, 5},
-                        Want{ml::ModelKind::kRnn, 24, 21}}) {
+                        Want{ml::ModelKind::kRnn, 20, 17}}) {
     const Wire wire = train_step(w.kind, wire_opts(true, true));
     EXPECT_EQ(wire.p0.size(), w.p0) << ml::to_string(w.kind);
     EXPECT_EQ(wire.p1.size(), w.p1) << ml::to_string(w.kind);
   }
 }
 
+TEST(StepSends, ActivationIsTwoRounds) {
+  // One activation: each party sends E = X - U (kExchangeE, b x w) and then
+  // C_lo and C_hi together (kOpenMasked, 2 x b x w), nothing else.
+  const std::size_t b = 5, w = 7;
+  auto [a0, a1] = mpc::TripletDealer(nullptr, {false, false, 46})
+                      .make_activation(b, w);
+  const auto xs = mpc::share_float(random_matrix(b, w, 47), 48);
+  const Wire wire = record(
+      wire_opts(true, true),
+      [&](mpc::PartyContext& ctx) { mpc::secure_activation(ctx, xs.s0, a0); },
+      [&](mpc::PartyContext& ctx) { mpc::secure_activation(ctx, xs.s1, a1); });
+  const std::size_t e_bytes = net::encode_matrix(MatrixF(b, w)).size();
+  const std::size_t c_bytes = net::encode_matrix(MatrixF(2 * b, w)).size();
+  for (const std::vector<Sent>* sent : {&wire.p0, &wire.p1}) {
+    ASSERT_EQ(sent->size(), 2u);
+    EXPECT_EQ(family((*sent)[0].tag), mpc::tags::kExchangeE);
+    EXPECT_EQ((*sent)[0].bytes, e_bytes);
+    EXPECT_EQ(family((*sent)[1].tag), mpc::tags::kOpenMasked);
+    EXPECT_EQ((*sent)[1].bytes, c_bytes);
+  }
+}
+
+// Index of party 0's first kOpenMasked send.
+std::size_t first_open(const std::vector<Sent>& sent) {
+  std::size_t i = 0;
+  while (i < sent.size() && family(sent[i].tag) != mpc::tags::kOpenMasked) {
+    ++i;
+  }
+  return i;
+}
+
 TEST(ChaosPlanPositions, MlpFirstLayerAndActivation) {
   // chaos_test's resilient-training plans index party 0's sends in a serial
   // MLP step, and engine_chaos_test's plan the same step pipelined (the
   // same sequence, per PipelinedWireOrder). Dense layer 1 sends its forward
-  // E/F pair; activation 1 then sends its two comparison products and opens
-  // them.
+  // E/F pair; activation 1 then opens E = X - U and its two masked products.
   for (const bool pipeline : {false, true}) {
     const Wire w = train_step(ml::ModelKind::kMlp, wire_opts(pipeline, false));
-    ASSERT_GE(w.p0.size(), 4u);
+    ASSERT_GE(w.p0.size(), 3u);
     // [0]: layer 1's E/F pair, the widest forward message.
     EXPECT_EQ(family(w.p0[0].tag), mpc::tags::kExchangeE);
     EXPECT_GT(w.p0[0].bytes, w.p0[1].bytes);
-    // [1], [2]: the activation's two comparison products (same shapes) —
-    // engine_chaos_test's flip@1 corrupts the first, close@2 cuts the
-    // transport at the second.
+    // [1]: the activation's E open — engine_chaos_test's flip@1 corrupts it.
     EXPECT_EQ(family(w.p0[1].tag), mpc::tags::kExchangeE);
-    EXPECT_EQ(family(w.p0[2].tag), mpc::tags::kExchangeE);
-    EXPECT_EQ(w.p0[1].bytes, w.p0[2].bytes);
-    // [3]: the first open of the step, the activation's — flip@3's target.
-    std::size_t first_open = 0;
-    while (first_open < w.p0.size() &&
-           family(w.p0[first_open].tag) != mpc::tags::kOpenMasked) {
-      ++first_open;
-    }
-    EXPECT_EQ(first_open, 3u);
+    // [2]: the activation's paired open of C_lo and C_hi (twice E's
+    // payload), the first open of the step — chaos_test's flip@2 corrupts
+    // it and close@2 cuts the transport there.
+    EXPECT_EQ(family(w.p0[2].tag), mpc::tags::kOpenMasked);
+    EXPECT_GT(w.p0[2].bytes, w.p0[1].bytes);
+    EXPECT_EQ(first_open(w.p0), 2u);
   }
 }
 
 TEST(ChaosPlanPositions, RnnFirstStepActivation) {
   // chaos_test's RNN plan indexes party 0's sends in a serial RNN step.
   // Timestep 0 sends the E/F pairs of x_0 W_x and h_0 W_h, then its
-  // activation sends two comparison products and opens them.
+  // activation opens E = X - U and its two masked products.
   const Wire w = train_step(ml::ModelKind::kRnn);
-  ASSERT_GE(w.p0.size(), 5u);
+  ASSERT_GE(w.p0.size(), 4u);
   // [0], [1]: the two products' E/F pairs (x_0 is 6 features wide, h_0 4).
   EXPECT_EQ(family(w.p0[0].tag), mpc::tags::kExchangeE);
   EXPECT_EQ(family(w.p0[1].tag), mpc::tags::kExchangeE);
   EXPECT_GT(w.p0[0].bytes, w.p0[1].bytes);
-  // [2], [3]: the activation's two comparison products (same shapes).
+  // [2]: the activation's E open.
   EXPECT_EQ(family(w.p0[2].tag), mpc::tags::kExchangeE);
-  EXPECT_EQ(family(w.p0[3].tag), mpc::tags::kExchangeE);
-  EXPECT_EQ(w.p0[2].bytes, w.p0[3].bytes);
-  // [4]: the first open of the step, the activation's — flip@4's target.
-  std::size_t first_open = 0;
-  while (first_open < w.p0.size() &&
-         family(w.p0[first_open].tag) != mpc::tags::kOpenMasked) {
-    ++first_open;
-  }
-  EXPECT_EQ(first_open, 4u);
+  // [3]: its paired open, the first open of the step — flip@3's target.
+  EXPECT_EQ(family(w.p0[3].tag), mpc::tags::kOpenMasked);
+  EXPECT_EQ(first_open(w.p0), 3u);
 }
 
 }  // namespace

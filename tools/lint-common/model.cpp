@@ -290,6 +290,20 @@ void scan_declarations(const std::string& path,
         pos = after;
         continue;
       }
+      // A parameter annotation (`f(..., PSML_SECRET const T& x, ...)`)
+      // reaches ',' or ')' before any '('. The parameter scan seeds it;
+      // reading it as a function annotation would mark the next call in
+      // the window (say, `Profiler::global()`) a secret function.
+      std::size_t stop = i;
+      for (int angle = 0; stop < w.size() && w[stop] != '('; ++stop) {
+        if (w[stop] == '<') ++angle;
+        if (w[stop] == '>' && angle > 0) --angle;
+        if (angle == 0 && (w[stop] == ',' || w[stop] == ')')) break;
+      }
+      if (stop < w.size() && w[stop] != '(') {
+        pos = after;
+        continue;
+      }
       // Function annotation: first meaningful token decides the mode (void ->
       // out-parameter convention), the identifier before '(' is the name.
       bool is_void = false;
@@ -816,10 +830,13 @@ std::string FlowAnalysis::triplet_member(const std::string& text) const {
     if (j < text.size() && text[j] == '.') {
       j = skip_spaces_fwd(text, j + 1);
       const std::string m = ident_starting_at(text, j);
-      // Beaver triplet members, and the layer material's correlated
-      // members (mpc::LayerShare): each masks or completes one product.
-      if ((m == "u" || m == "v" || m == "z" || m == "v2" || m == "z_dw" ||
-           m == "z_dx") &&
+      // Beaver triplet members, the layer material's correlated members
+      // (mpc::LayerShare) and the activation material's positive masks and
+      // their products (mpc::ActivationShare): each masks or completes one
+      // product.
+      static const std::set<std::string> single_use{
+          "u", "v", "z", "v2", "z_dw", "z_dx", "s_lo", "s_hi", "z_lo", "z_hi"};
+      if (single_use.count(m) &&
           (j + m.size() >= text.size() ||
            !ident_char(text[j + m.size()]))) {
         const auto vt = var_type_.find(root);

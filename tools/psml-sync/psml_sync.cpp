@@ -1070,13 +1070,26 @@ int main(int argc, char** argv) {
 
   const sync::Contracts contracts = sync::scan_contracts(*prog);
 
-  // Summaries to a bounded fixpoint. Each round resolves call sites against
-  // a FROZEN snapshot of the previous round and rebuilds the map fresh:
-  // with in-place grow-only merging, a call whose precise stem key does not
-  // exist yet (file walk order) would fall back to the merged name key and
-  // the stale composition could never be retracted.
+  // Summaries to a fixpoint. Each round resolves call sites against a
+  // FROZEN snapshot of the previous round and rebuilds the map fresh: with
+  // in-place grow-only merging, a call whose precise stem key does not exist
+  // yet (file walk order) would fall back to the merged name key and the
+  // stale composition could never be retracted. Rebuilding is not monotone,
+  // so the loop is bounded; hitting the bound is an error, because findings
+  // and the --dot graph from unconverged summaries would be silently
+  // incomplete.
+  constexpr int kMaxSummaryRounds = 256;
   std::map<std::string, sync::SyncSummary> sums;
-  for (int round = 0; round < 12; ++round) {
+  int rounds = 0;
+  for (bool changed = true; changed;) {
+    if (rounds == kMaxSummaryRounds) {
+      std::fprintf(stderr,
+                   "psml-sync: call summaries did not converge within %d "
+                   "rounds; no findings or lock graph reported\n",
+                   kMaxSummaryRounds);
+      return 2;
+    }
+    ++rounds;
     std::map<std::string, sync::SyncSummary> next;
     for (const auto& fn : prog->functions) {
       const sync::SyncSummary s =
@@ -1086,7 +1099,7 @@ int main(int argc, char** argv) {
       sync::merge_summary(next[sync::file_stem(fn.file) + ":" + fn.name], s);
       sync::merge_summary(next[fn.name], s);
     }
-    bool changed = next.size() != sums.size();
+    changed = next.size() != sums.size();
     if (!changed) {
       for (const auto& [k, v] : next) {
         const auto it = sums.find(k);
@@ -1099,8 +1112,9 @@ int main(int argc, char** argv) {
       }
     }
     sums = std::move(next);
-    if (!changed) break;
   }
+  std::fprintf(stderr, "psml-sync: call summaries converged in %d rounds\n",
+               rounds);
 
   // PSML_SYNC_DEBUG=1: dump the converged summaries (maintenance aid for
   // chasing name-collision pollution in the lock graph).
