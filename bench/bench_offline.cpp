@@ -13,9 +13,9 @@
 // critical-path difference per job:
 //
 //   inline — a fresh TripletDealer generates the job's whole epoch plan
-//            (what run_secure did before use_triplet_factory)
+//            (what run_secure does)
 //   warm   — reserve(plan) + wait_ready ahead of the timed region, then the
-//            timed fill_stores drains the pooled pairs
+//            timed fill_stores drains the pooled entries
 //
 // The factory section reports producer-side throughput (pairs/s inside
 // refill tasks) so refill capacity can be compared against consumption.
@@ -70,9 +70,9 @@ JobResult bench_job(const char* name,
   r.reps = reps;
   sgpu::Device* device = use_gpu ? &sgpu::Device::global() : nullptr;
 
-  // Inline path: the dealer runs the whole plan on the caller's thread —
-  // the pre-factory critical path. One warm-up rep primes caches and the
-  // adaptive dispatcher.
+  // Inline path: the dealer runs the whole plan on the caller's thread, as
+  // run_secure does. One warm-up rep primes caches and the adaptive
+  // dispatcher.
   mpc::DealerOptions dopts;
   dopts.use_gpu = use_gpu;
   dopts.seed = 7001;

@@ -5,15 +5,13 @@
 // one-call driver, so it doubles as a tour of the internals.
 #include <cstdio>
 #include <thread>
-#include <tuple>
 
-#include "common/env.hpp"
 #include "common/timer.hpp"
-#include "mpc/triplet_factory.hpp"
 #include "data/datasets.hpp"
 #include "ml/models.hpp"
 #include "ml/secure/secure_model.hpp"
 #include "mpc/party.hpp"
+#include "mpc/triplet_factory.hpp"
 #include "net/local_channel.hpp"
 #include "profile/profiler.hpp"
 
@@ -38,20 +36,17 @@ int main() {
   pair.m0.plan_batch(plan, samples, ml::LossKind::kMse, 10, true);
   std::printf("offline plan: %zu triplet specs per epoch\n", plan.size());
 
-  // PSML_TRIPLET_FACTORY=1 sources the material from the background factory
-  // pools (mpc/triplet_factory.hpp) instead of dealing inline — the pooled
-  // offline phase the one-call driver also switches on.
-  const bool use_factory = env_bool("PSML_TRIPLET_FACTORY", false);
+  // The material comes from a background factory pool
+  // (mpc/triplet_factory.hpp): announce the plan, then drain it. Its
+  // producers deal with the same dealer options an inline
+  // TripletDealer would take.
+  mpc::FactoryOptions fopts;
+  fopts.dealer = {true, false, 99};
+  mpc::TripletFactory factory(&sgpu::Device::global(), fopts);
   Timer offline_timer;
   mpc::TripletStore st0, st1;
-  if (use_factory) {
-    mpc::TripletFactory& factory = mpc::TripletFactory::global();
-    factory.reserve(plan);
-    factory.fill_stores(plan, st0, st1);
-  } else {
-    mpc::TripletDealer dealer(&sgpu::Device::global(), {true, false, 99});
-    std::tie(st0, st1) = dealer.generate(plan);
-  }
+  factory.reserve(plan);
+  factory.fill_stores(plan, st0, st1);
   st0.set_recycle(true);  // reuse masks across epochs (Eq. 11)
   st1.set_recycle(true);
   auto xs = mpc::share_float(ds.x, 11);
@@ -98,14 +93,12 @@ int main() {
     std::printf("  %-22s %8.3fs x%llu\n", phase.c_str(), stat.total_sec,
                 static_cast<unsigned long long>(stat.count));
   }
-  if (use_factory) {
-    const auto fm = mpc::TripletFactory::global().metrics();
-    std::printf("factory: %llu produced, %llu acquired, %llu starvations, "
-                "%zu pooled across %zu specs\n",
-                static_cast<unsigned long long>(fm.produced),
-                static_cast<unsigned long long>(fm.acquired),
-                static_cast<unsigned long long>(fm.starvation_events),
-                fm.depth_total, fm.specs);
-  }
+  const auto fm = factory.metrics();
+  std::printf("factory: %llu produced, %llu acquired, %llu starvations, "
+              "%zu pooled across %zu specs\n",
+              static_cast<unsigned long long>(fm.produced),
+              static_cast<unsigned long long>(fm.acquired),
+              static_cast<unsigned long long>(fm.starvation_events),
+              fm.depth_total, fm.specs);
   return acc > 0.4 ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "common/env.hpp"
 
-#include <cctype>
 #include <cstdlib>
 
 namespace psml {
@@ -21,22 +20,6 @@ double env_double(const char* name, double fallback) {
   const double v = std::strtod(e, &end);
   if (end == e) return fallback;
   return v;
-}
-
-bool env_bool(const char* name, bool fallback) {
-  const char* e = std::getenv(name);
-  if (e == nullptr || *e == '\0') return fallback;
-  std::string v(e);
-  for (char& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  return fallback;
-}
-
-std::string env_string(const char* name, const std::string& fallback) {
-  const char* e = std::getenv(name);
-  if (e == nullptr) return fallback;
-  return std::string(e);
 }
 
 }  // namespace psml

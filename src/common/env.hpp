@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace psml {
 
@@ -12,13 +11,5 @@ std::size_t env_size_t(const char* name, std::size_t fallback);
 
 // Returns the value of `name` parsed as double, or `fallback`.
 double env_double(const char* name, double fallback);
-
-// Returns `name` parsed as a boolean flag: "1"/"true"/"on"/"yes" are true,
-// "0"/"false"/"off"/"no" are false (case-insensitive); unset or anything
-// else yields `fallback`.
-bool env_bool(const char* name, bool fallback);
-
-// Returns the value of `name`, or `fallback`.
-std::string env_string(const char* name, const std::string& fallback);
 
 }  // namespace psml

@@ -32,7 +32,7 @@
 //                                      policy decision, listed in
 //                                      docs/ANALYSIS.md §9.
 //   PSML_NONBLOCKING_CTX on a function the function runs on a latency-
-//                                      critical context (event loop, lane
+//                                      critical context (event loop, pool
 //                                      worker): no Channel recv without a
 //                                      Deadline may be reachable from it
 //                                      (rule missing-deadline-recv).

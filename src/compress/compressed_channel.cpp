@@ -133,8 +133,8 @@ MatrixF Endpoint::decode_body(std::uint64_t key, const std::uint8_t* data,
 MatrixF Endpoint::recv(net::Tag tag, std::uint64_t key) {
   // The blocking channel receive happens OUTSIDE the endpoint lock: holding
   // it here would recreate the cross-party pipeline deadlock documented in
-  // net::Channel::recv (main thread blocks holding the lock; the comm-lane
-  // thread that must send the peer's awaited message queues behind it).
+  // net::Channel::recv (one thread blocks holding the lock; another thread
+  // that must send the peer's awaited message queues behind it).
   // Tags are globally unique per message, so concurrent recvs for different
   // keys cannot steal each other's payloads; only the baseline map needs
   // the lock.

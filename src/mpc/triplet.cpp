@@ -1,5 +1,7 @@
 #include "mpc/triplet.hpp"
 
+#include <iterator>
+
 #include "sgpu/ops.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -98,19 +100,62 @@ LayerShare TripletStore::pop_layer() {
   return pop(layer_, cursor_.layer, "offline layer material exhausted");
 }
 
+void TripletStore::append(TripletStore&& from) {
+  for_each_queue([&](TripletKind, auto queue) {
+    auto& src = from.*queue;
+    auto& dst = this->*queue;
+    std::move(src.begin(), src.end(), std::back_inserter(dst));
+    src.clear();
+  });
+}
+
+void TripletStore::move_front(TripletKind kind, TripletStore& to) {
+  PSML_CHECK_MSG(!recycle_ && !retain_,
+                 "TripletStore::move_front consumes: recycle and retain "
+                 "stores keep their material");
+  popped_ = true;
+  for_each_queue([&](TripletKind k, auto queue) {
+    if (k != kind) return;
+    auto& src = this->*queue;
+    PSML_CHECK_MSG(!src.empty(), "offline material of the kind exhausted");
+    (to.*queue).push_back(std::move(src.front()));
+    src.pop_front();
+  });
+}
+
+std::size_t TripletStore::size() const {
+  std::size_t n = 0;
+  for_each_queue([&](TripletKind, auto queue) { n += (this->*queue).size(); });
+  return n;
+}
+
 std::size_t TripletStore::bytes() const {
   std::size_t total = 0;
-  auto count_kind = [&total](const auto& queue) {
-    for (const auto& share : queue) {
+  for_each_queue([&](TripletKind, auto queue) {
+    for (const auto& share : this->*queue) {
       for_each_matrix(share,
                       [&total](const MatrixF& m) { total += m.bytes(); });
     }
-  };
-  count_kind(matmul_);
-  count_kind(elem_);
-  count_kind(act_);
-  count_kind(layer_);
+  });
   return total;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> material_shapes(
+    const TripletSpec& spec) {
+  const std::pair<std::size_t, std::size_t> mk{spec.m, spec.k};
+  const std::pair<std::size_t, std::size_t> kn{spec.k, spec.n};
+  const std::pair<std::size_t, std::size_t> mn{spec.m, spec.n};
+  switch (spec.kind) {
+    case TripletKind::kMatMul:
+      return {mk, kn, mn};
+    case TripletKind::kElementwise:
+      return {mn, mn, mn};
+    case TripletKind::kActivation:
+      return {mn, mn, mn, mn, mn};
+    case TripletKind::kLayer:
+      return {mk, kn, mn, mn, kn, mk};  // u, v, z, v2, z_dw, z_dx
+  }
+  return {};
 }
 
 TripletDealer::TripletDealer(sgpu::Device* device, DealerOptions opts)

@@ -49,9 +49,12 @@ struct TripletSpec {
 
 // Every material kind lists its matrices once, in a static `visit`, in the
 // kind's one serialized order; for_each_matrix below walks a share through
-// that list. TripletStore::bytes(), the durable codec (triplet_io) and the
-// client-to-server transfer (store_transfer) all use it, so a kind's layout
-// is stated in one place.
+// that list. TripletStore lists its per-kind queues once, in
+// TripletStore::for_each_queue. TripletStore::bytes(), the durable codec
+// (triplet_io), the client-to-server transfer (store_transfer) and the
+// factory pools (triplet_factory) use only these two walks, so a new or
+// reshaped kind touches its struct, the dealer (its make_* and
+// material_shapes) and the queue list.
 
 // One server's share of a multiplication triplet (matmul or elementwise).
 struct PSML_SECRET TripletShare {
@@ -115,6 +118,25 @@ void for_each_matrix(Share& share, F&& f) {
 // and documented in DESIGN.md.
 class PSML_SECRET TripletStore {
  public:
+  // The per-kind queues, listed once: calls f(kind, queue) for each kind in
+  // TripletKind order, where `queue` points to the member deque holding
+  // that kind's entries. Code holding stores applies it (`store.*queue`),
+  // so one walk also moves entries between stores in lockstep.
+  template <class F>
+  static constexpr void for_each_queue(F&& f) {
+    f(TripletKind::kMatMul, &TripletStore::matmul_);
+    f(TripletKind::kElementwise, &TripletStore::elem_);
+    f(TripletKind::kActivation, &TripletStore::act_);
+    f(TripletKind::kLayer, &TripletStore::layer_);
+  }
+
+  // Number of material kinds (queues).
+  static constexpr std::size_t kinds() {
+    std::size_t n = 0;
+    for_each_queue([&n](TripletKind, auto) { ++n; });
+    return n;
+  }
+
   void push_matmul(TripletShare t) { matmul_.push_back(std::move(t)); }
   void push_elementwise(TripletShare t) { elem_.push_back(std::move(t)); }
   void push_activation(ActivationShare a) { act_.push_back(std::move(a)); }
@@ -153,9 +175,16 @@ class PSML_SECRET TripletStore {
   ActivationShare pop_activation();
   LayerShare pop_layer();
 
-  bool empty() const {
-    return matmul_.empty() && elem_.empty() && act_.empty() && layer_.empty();
-  }
+  // Kind-generic moves. append() adds every entry of `from` to the back of
+  // its kind's queue here. move_front() moves the oldest entry of `kind` to
+  // the back of `to`'s queue of that kind; it consumes, so this store must
+  // be in neither recycle nor retain mode.
+  void append(TripletStore&& from);
+  void move_front(TripletKind kind, TripletStore& to);
+
+  // Entries held, over all kinds.
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
   std::size_t matmul_size() const { return matmul_.size(); }
   std::size_t elementwise_size() const { return elem_.size(); }
   std::size_t activation_size() const { return act_.size(); }
@@ -184,6 +213,11 @@ class PSML_SECRET TripletStore {
   bool popped_ = false;  // any pop seen — mode switches are rejected after
   Mark cursor_;
 };
+
+// The (rows, cols) of each matrix of one entry of `spec`'s material, in
+// for_each_matrix order: what TripletDealer deals for the spec.
+std::vector<std::pair<std::size_t, std::size_t>> material_shapes(
+    const TripletSpec& spec);
 
 struct DealerOptions {
   // Run Z = U x V on the simulated GPU (the paper's offline acceleration).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/durable_io.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/taint.hpp"
 #include "common/timer.hpp"
@@ -15,7 +14,7 @@ namespace psml::mpc {
 
 namespace {
 
-// Largest number of pairs one refill pass generates before re-checking the
+// Largest number of entries one refill pass deals before re-checking the
 // pool state. Small enough that a consumer draining faster than expected
 // (or pause()/stop()) is observed promptly, large enough to amortize the
 // lock round trip against multi-millisecond GEMMs.
@@ -72,27 +71,6 @@ TripletFactory::TripletFactory(sgpu::Device* device, FactoryOptions opts)
 }
 
 TripletFactory::~TripletFactory() { stop(); }
-
-TripletFactory& TripletFactory::global() {
-  // Leaked singleton: producer threads may outlive main() bookkeeping, and
-  // refill tasks lazily touch other process-wide singletons (device, global
-  // thread pool) whose destruction order is first-use-dependent. Keeping the
-  // factory alive through exit sidesteps the shutdown race entirely — the
-  // same reason the global() ThreadPool workers are never detached mid-task.
-  static TripletFactory* factory = [] {
-    FactoryOptions o;
-    o.low_watermark = env_size_t("PSML_TRIPLET_FACTORY_LOW", 2);
-    o.high_watermark = env_size_t("PSML_TRIPLET_FACTORY_HIGH", 8);
-    o.producers = env_size_t("PSML_TRIPLET_FACTORY_PRODUCERS", 2);
-    o.dealer.use_gpu = env_bool("PSML_TRIPLET_FACTORY_GPU", true);
-    o.dealer.seed = env_size_t("PSML_TRIPLET_FACTORY_SEED", 0);
-    o.persist_dir = env_string("PSML_TRIPLET_FACTORY_DIR", "");
-    sgpu::Device* dev =
-        o.dealer.use_gpu ? &sgpu::Device::global() : nullptr;
-    return new TripletFactory(dev, o);
-  }();
-  return *factory;
-}
 
 bool TripletFactory::schedule_refill(const TripletSpec& spec, Pool& p) {
   (void)spec;
@@ -159,25 +137,21 @@ void TripletFactory::wait_ready(net::Deadline deadline) {
   if (stopping_) throw ShutdownError("TripletFactory: stopped");
 }
 
-template <class Pair>
-Pair TripletFactory::acquire_from(std::deque<Pair> Pool::*queue,
-                                  const TripletSpec& spec,
-                                  net::Deadline deadline) {
+void TripletFactory::serve(const TripletSpec& spec, TripletStore& st0,
+                           TripletStore& st1, net::Deadline deadline) {
   bool waited = false;
-  Pair out;
   bool submit_self = false;
   {
     sync::MutexLock lock(mutex_);
     for (;;) {
       if (stopping_) throw ShutdownError("TripletFactory: stopped");
       Pool& p = pools_[spec];
-      std::deque<Pair>& q = p.*queue;
-      if (!q.empty()) {
-        out = std::move(q.front());
-        q.pop_front();
+      if (pool_depth(p) > 0) {
+        p.s0.move_front(spec.kind, st0);
+        p.s1.move_front(spec.kind, st1);
         if (p.reserved > 0) --p.reserved;
         acquired_.fetch_add(1, std::memory_order_relaxed);
-        // Watermark: a pop that leaves the pool strictly below
+        // Watermark: a serve that leaves the pool strictly below
         // low (+ reservations) schedules the background refill.
         if (pool_depth(p) < opts_.low_watermark + p.reserved) {
           submit_self = schedule_refill(spec, p);
@@ -201,109 +175,20 @@ Pair TripletFactory::acquire_from(std::deque<Pair> Pool::*queue,
                  std::cv_status::timeout) {
         // Deadline hit — but material racing in right at the wire still
         // wins (same last-chance re-check as the channel recv paths).
-        if (!(pools_[spec].*queue).empty()) continue;
+        if (pool_depth(pools_[spec]) > 0) continue;
         timeouts_.fetch_add(1, std::memory_order_relaxed);
-        throw TimeoutError("TripletFactory: acquire deadline expired (pool " +
+        throw TimeoutError("TripletFactory: deadline expired (pool " +
                            pool_file_name(spec) + " empty)");
       }
     }
   }
   if (submit_self) submit_refill(spec);
-  return out;
-}
-
-template <class Pair>
-std::optional<Pair> TripletFactory::try_acquire_from(
-    std::deque<Pair> Pool::*queue, const TripletSpec& spec) {
-  std::optional<Pair> out;
-  bool submit = false;
-  {
-    sync::MutexLock lock(mutex_);
-    if (stopping_) return std::nullopt;
-    Pool& p = pools_[spec];
-    std::deque<Pair>& q = p.*queue;
-    if (!q.empty()) {
-      out.emplace(std::move(q.front()));
-      q.pop_front();
-      if (p.reserved > 0) --p.reserved;
-      acquired_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (pool_depth(p) < opts_.low_watermark + p.reserved || q.empty()) {
-      submit = schedule_refill(spec, p);
-    }
-  }
-  if (submit) submit_refill(spec);
-  return out;
-}
-
-TripletPair TripletFactory::acquire(const TripletSpec& spec,
-                                    net::Deadline deadline) {
-  PSML_REQUIRE(spec.kind == TripletKind::kMatMul ||
-                   spec.kind == TripletKind::kElementwise,
-               "factory: activation and layer specs have their own acquire");
-  return acquire_from(&Pool::pairs, spec, deadline);
-}
-
-ActivationPair TripletFactory::acquire_activation(const TripletSpec& spec,
-                                                  net::Deadline deadline) {
-  PSML_REQUIRE(spec.kind == TripletKind::kActivation,
-               "factory: acquire_activation needs a kActivation spec");
-  return acquire_from(&Pool::acts, spec, deadline);
-}
-
-LayerPair TripletFactory::acquire_layer(const TripletSpec& spec,
-                                        net::Deadline deadline) {
-  PSML_REQUIRE(spec.kind == TripletKind::kLayer,
-               "factory: acquire_layer needs a kLayer spec");
-  return acquire_from(&Pool::layers, spec, deadline);
-}
-
-std::optional<TripletPair> TripletFactory::try_acquire(
-    const TripletSpec& spec) {
-  PSML_REQUIRE(spec.kind == TripletKind::kMatMul ||
-                   spec.kind == TripletKind::kElementwise,
-               "factory: activation and layer specs have their own pops");
-  return try_acquire_from(&Pool::pairs, spec);
-}
-
-std::optional<ActivationPair> TripletFactory::try_acquire_activation(
-    const TripletSpec& spec) {
-  PSML_REQUIRE(spec.kind == TripletKind::kActivation,
-               "factory: try_acquire_activation needs a kActivation spec");
-  return try_acquire_from(&Pool::acts, spec);
 }
 
 void TripletFactory::fill_stores(const std::vector<TripletSpec>& plan,
                                  TripletStore& st0, TripletStore& st1,
                                  net::Deadline deadline) {
-  for (const TripletSpec& spec : plan) {
-    switch (spec.kind) {
-      case TripletKind::kMatMul: {
-        TripletPair pair = acquire(spec, deadline);
-        st0.push_matmul(std::move(pair.s0));
-        st1.push_matmul(std::move(pair.s1));
-        break;
-      }
-      case TripletKind::kElementwise: {
-        TripletPair pair = acquire(spec, deadline);
-        st0.push_elementwise(std::move(pair.s0));
-        st1.push_elementwise(std::move(pair.s1));
-        break;
-      }
-      case TripletKind::kActivation: {
-        ActivationPair pair = acquire_activation(spec, deadline);
-        st0.push_activation(std::move(pair.s0));
-        st1.push_activation(std::move(pair.s1));
-        break;
-      }
-      case TripletKind::kLayer: {
-        LayerPair pair = acquire_layer(spec, deadline);
-        st0.push_layer(std::move(pair.s0));
-        st1.push_layer(std::move(pair.s1));
-        break;
-      }
-    }
-  }
+  for (const TripletSpec& spec : plan) serve(spec, st0, st1, deadline);
 }
 
 std::uint64_t TripletFactory::task_seed(const TripletSpec& spec) {
@@ -354,40 +239,12 @@ void TripletFactory::refill_task(TripletSpec spec) {
     TripletDealer dealer(device_, DealerOptions{opts_.dealer.use_gpu,
                                                 opts_.dealer.naive_cpu,
                                                 task_seed(spec)});
-    std::vector<TripletPair> pairs;
-    std::vector<ActivationPair> acts;
-    std::vector<LayerPair> layers;
-    for (std::size_t i = 0; i < want; ++i) {
-      switch (spec.kind) {
-        case TripletKind::kMatMul: {
-          auto [t0, t1] = dealer.make_matmul(spec.m, spec.k, spec.n);
-          pairs.push_back(TripletPair{std::move(t0), std::move(t1)});
-          break;
-        }
-        case TripletKind::kElementwise: {
-          auto [t0, t1] = dealer.make_elementwise(spec.m, spec.n);
-          pairs.push_back(TripletPair{std::move(t0), std::move(t1)});
-          break;
-        }
-        case TripletKind::kActivation: {
-          auto [a0, a1] = dealer.make_activation(spec.m, spec.n);
-          acts.push_back(ActivationPair{std::move(a0), std::move(a1)});
-          break;
-        }
-        case TripletKind::kLayer: {
-          auto [l0, l1] = dealer.make_layer(spec.m, spec.k, spec.n);
-          layers.push_back(LayerPair{std::move(l0), std::move(l1)});
-          break;
-        }
-      }
-    }
-
+    auto [g0, g1] = dealer.generate(std::vector<TripletSpec>(want, spec));
     {
       sync::MutexLock lock(mutex_);
       Pool& p = pools_[spec];
-      for (auto& pair : pairs) p.pairs.push_back(std::move(pair));
-      for (auto& act : acts) p.acts.push_back(std::move(act));
-      for (auto& layer : layers) p.layers.push_back(std::move(layer));
+      p.s0.append(std::move(g0));
+      p.s1.append(std::move(g1));
     }
     produced_.fetch_add(want, std::memory_order_relaxed);
     cv_.notify_all();
@@ -409,26 +266,7 @@ void TripletFactory::save(const std::string& dir) const {
     sync::MutexLock lock(mutex_);
     for (const auto& [spec, p] : pools_) {
       if (pool_depth(p) == 0) continue;
-      PoolFile f;
-      f.spec = spec;
-      for (const TripletPair& pair : p.pairs) {
-        if (spec.kind == TripletKind::kElementwise) {
-          f.s0.push_elementwise(pair.s0);
-          f.s1.push_elementwise(pair.s1);
-        } else {
-          f.s0.push_matmul(pair.s0);
-          f.s1.push_matmul(pair.s1);
-        }
-      }
-      for (const ActivationPair& act : p.acts) {
-        f.s0.push_activation(act.s0);
-        f.s1.push_activation(act.s1);
-      }
-      for (const LayerPair& layer : p.layers) {
-        f.s0.push_layer(layer.s0);
-        f.s1.push_layer(layer.s1);
-      }
-      snapshot.push_back(std::move(f));
+      snapshot.push_back(PoolFile{spec, p.s0, p.s1});
     }
   }
   std::vector<std::string> written;
@@ -455,44 +293,21 @@ std::size_t TripletFactory::load(const std::string& dir) {
     try {
       f = load_pool_file(dir + "/" + name);
     } catch (const IOError&) {
-      // Torn or corrupt pool file: offline material is regenerable, so a
-      // restart skips it and lets the watermark machinery re-deal.
+      // Torn or corrupt pool file, or one not holding its spec's material:
+      // offline material is regenerable, so a restart skips it and lets the
+      // watermark machinery re-deal.
       load_errors_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    // Spec and counts are structural metadata (public by construction —
+    // Spec and count are structural metadata (public by construction —
     // they are the pool file's section framing), not secret material.
     PSML_PUBLIC const TripletSpec spec = f.spec;
-    PSML_PUBLIC std::size_t count = 0;
-    sync::MutexLock lock(mutex_);
-    Pool& p = pools_[spec];
-    switch (spec.kind) {
-      case TripletKind::kMatMul:
-        count = f.s0.matmul_size();
-        for (std::size_t i = 0; i < count; ++i) {
-          p.pairs.push_back(TripletPair{f.s0.pop_matmul(), f.s1.pop_matmul()});
-        }
-        break;
-      case TripletKind::kElementwise:
-        count = f.s0.elementwise_size();
-        for (std::size_t i = 0; i < count; ++i) {
-          p.pairs.push_back(
-              TripletPair{f.s0.pop_elementwise(), f.s1.pop_elementwise()});
-        }
-        break;
-      case TripletKind::kActivation:
-        count = f.s0.activation_size();
-        for (std::size_t i = 0; i < count; ++i) {
-          p.acts.push_back(
-              ActivationPair{f.s0.pop_activation(), f.s1.pop_activation()});
-        }
-        break;
-      case TripletKind::kLayer:
-        count = f.s0.layer_size();
-        for (std::size_t i = 0; i < count; ++i) {
-          p.layers.push_back(LayerPair{f.s0.pop_layer(), f.s1.pop_layer()});
-        }
-        break;
+    PSML_PUBLIC const std::size_t count = f.s0.size();
+    {
+      sync::MutexLock lock(mutex_);
+      Pool& p = pools_[spec];
+      p.s0.append(std::move(f.s0));
+      p.s1.append(std::move(f.s1));
     }
     loaded_.fetch_add(count, std::memory_order_relaxed);
     total += count;

@@ -1,23 +1,25 @@
-// Background triplet factory: the offline phase as an always-on producer
-// (ROADMAP item 2, the offline/online split every production MPC stack
-// ships — CrypTen and tf-encrypted structure around the same shape).
+// Background triplet factory: a pool of offline material kept warm by
+// background producers (the offline/online split every production MPC stack
+// ships; CrypTen draws every Beaver tuple from one such provider).
 //
 // The paper's offline phase (Z = U x V, Sec. 2.2 / 4.2) dominates
-// end-to-end time yet the seed ran it inline per job, so every training or
-// inference run paid dealer latency on its critical path. The factory
-// instead pre-generates shape-keyed pools of complete triplet *pairs* (both
-// parties' halves — the factory is the dealer, i.e. the client of the
-// paper's client-aided model) on idle cores, refills them on watermarks,
-// and hands material to online jobs at memory speed.
+// end-to-end time, and a run that deals inline pays dealer latency on its
+// critical path. The factory instead keeps one pool per TripletSpec: the
+// two per-party stores that TripletDealer::generate returns for that spec,
+// refilled by producers on idle cores on watermarks, so a job that
+// announces its plan finds the material dealt and takes it at memory speed.
+// The factory is the dealer (the client of the paper's client-aided
+// model), so a pool holds both parties' halves.
 //
 // Lifecycle of one pool:
 //
 //   register/reserve ─▶ pool created, refill scheduled to the high mark
-//   acquire/fill     ─▶ pops a pair; a pop that takes the depth strictly
-//                       below (low mark + outstanding reservations)
-//                       schedules a background refill up to
-//                       (high mark + outstanding reservations)
-//   empty + blocked  ─▶ acquire waits on the refill cv (a "starvation
+//   fill_stores      ─▶ moves one entry per plan spec into the caller's
+//                       stores; a move that takes the depth strictly below
+//                       (low mark + outstanding reservations) schedules a
+//                       background refill up to (high mark + outstanding
+//                       reservations)
+//   empty + blocked  ─▶ fill_stores waits on the refill cv (a "starvation
 //                       event", counted) until material lands or the
 //                       deadline expires (TimeoutError)
 //
@@ -33,23 +35,24 @@
 // GEMM, the lock guards a couple of deque moves. Each refill task seeds a
 // private TripletDealer from (factory seed, spec, refill serial), so
 // concurrent refills of different shapes never contend on one RNG stream.
+// The factory never names a material kind: it moves entries with
+// TripletStore's kind-generic append/move_front.
 //
 // Persistence: save(dir) writes one durable pool file per spec through
 // mpc/triplet_io + common/durable_io (atomic rename + CRC framing);
-// load(dir) restores pools on restart, skipping (and counting) torn files —
-// offline material is regenerable, so corruption degrades to regeneration,
-// never a crash. Pool files hold BOTH halves and live on the dealer host
-// only; per-party distribution still goes through store_transfer /
-// save_store (security note in docs/ANALYSIS.md §11).
+// load(dir) restores pools on restart, skipping (and counting) torn files
+// and files that do not hold their spec's material — offline material is
+// regenerable, so a bad file degrades to regeneration, never a crash. Pool
+// files hold BOTH halves and live on the dealer host only; per-party
+// distribution still goes through store_transfer / save_store (security
+// note in docs/ANALYSIS.md §11).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,22 +63,8 @@
 
 namespace psml::mpc {
 
-// Both parties' halves of one pooled triplet. Secret like the shares it
-// carries; the pair never leaves the dealer process as a unit.
-struct PSML_SECRET TripletPair {
-  TripletShare s0, s1;
-};
-
-struct PSML_SECRET ActivationPair {
-  ActivationShare s0, s1;
-};
-
-struct PSML_SECRET LayerPair {
-  LayerShare s0, s1;
-};
-
 struct FactoryOptions {
-  // Refill policy: a pop that takes a pool strictly below
+  // Refill policy: a serve that takes a pool strictly below
   // low_watermark (+ reservations) schedules a refill up to
   // high_watermark (+ reservations).
   std::size_t low_watermark = 2;
@@ -100,45 +89,23 @@ class TripletFactory {
   TripletFactory(const TripletFactory&) = delete;
   TripletFactory& operator=(const TripletFactory&) = delete;
 
-  // Process-wide factory for config-switched consumers (PSML_TRIPLET_FACTORY
-  // in parsecureml::RunConfig). Tuned by PSML_TRIPLET_FACTORY_{LOW,HIGH,
-  // PRODUCERS,GPU,SEED,DIR} at first use.
-  static TripletFactory& global();
-
   // Ensure a pool exists for `spec` and schedule its initial fill. Idempotent.
   void register_spec(const TripletSpec& spec);
 
   // Announce upcoming demand: for each spec in `plan`, raise the pool's
   // refill target by its multiplicity so producers materialize the whole
-  // plan ahead of the acquires that will consume it.
+  // plan ahead of the fill_stores call that will consume it.
   void reserve(const std::vector<TripletSpec>& plan);
 
   // Block until every pool can satisfy its outstanding reservations.
   // Throws TimeoutError when `deadline` expires first.
   void wait_ready(net::Deadline deadline = net::kNoDeadline) PSML_BLOCKING;
 
-  // Pop one pair, blocking until material is available. Throws TimeoutError
-  // on deadline expiry and ShutdownError if the factory is stopping.
-  // acquire serves kMatMul / kElementwise specs; kActivation and kLayer have
-  // their own typed pops.
-  TripletPair acquire(const TripletSpec& spec,
-                      net::Deadline deadline = net::kNoDeadline) PSML_BLOCKING;
-  ActivationPair acquire_activation(
-      const TripletSpec& spec,
-      net::Deadline deadline = net::kNoDeadline) PSML_BLOCKING;
-  LayerPair acquire_layer(const TripletSpec& spec,
-                          net::Deadline deadline = net::kNoDeadline)
-      PSML_BLOCKING;
-
-  // Non-blocking pops: empty pool returns nullopt (scheduling a refill so a
-  // retry finds material).
-  std::optional<TripletPair> try_acquire(const TripletSpec& spec);
-  std::optional<ActivationPair> try_acquire_activation(const TripletSpec& spec);
-
-  // Demand-side convenience: pop one pair per plan entry into the two
-  // per-party stores (the exact shape TripletDealer::generate used to
-  // return). With a warm pool this is pure deque moves — zero generation on
-  // the caller's critical path.
+  // Moves one entry per plan spec, in plan order, into the two per-party
+  // stores (the stores TripletDealer::generate(plan) would return), blocking
+  // while a pool is empty. With a warm pool this is pure deque moves — zero
+  // generation on the caller's critical path. Throws TimeoutError on
+  // deadline expiry and ShutdownError if the factory is stopping.
   void fill_stores(const std::vector<TripletSpec>& plan, TripletStore& st0,
                    TripletStore& st1,
                    net::Deadline deadline = net::kNoDeadline) PSML_BLOCKING;
@@ -156,18 +123,18 @@ class TripletFactory {
   void stop();
 
   struct Metrics {
-    std::uint64_t produced = 0;            // pairs generated by refill tasks
-    std::uint64_t loaded = 0;              // pairs restored from disk
-    std::uint64_t acquired = 0;            // successful pops (all flavors)
+    std::uint64_t produced = 0;            // entries generated by refills
+    std::uint64_t loaded = 0;              // entries restored from disk
+    std::uint64_t acquired = 0;            // entries served by fill_stores
     std::uint64_t refills_scheduled = 0;   // watermark / empty-pool triggers
     std::uint64_t refills_completed = 0;   // refill tasks run to target
-    std::uint64_t starvation_events = 0;   // acquires that had to block
-    std::uint64_t timeouts = 0;            // acquires lost to the deadline
-    std::uint64_t load_errors = 0;         // torn/corrupt pool files skipped
+    std::uint64_t starvation_events = 0;   // serves that had to block
+    std::uint64_t timeouts = 0;            // waits lost to the deadline
+    std::uint64_t load_errors = 0;         // bad pool files skipped
     double refill_sec_total = 0.0;         // wall time inside refill tasks
     double last_refill_sec = 0.0;          // most recent completed refill
     std::size_t specs = 0;                 // registered pools
-    std::size_t depth_total = 0;           // pooled pairs across all specs
+    std::size_t depth_total = 0;           // pooled entries, all specs
   };
   Metrics metrics() const;
 
@@ -178,29 +145,22 @@ class TripletFactory {
 
  private:
   struct Pool {
-    std::deque<TripletPair> pairs;     // kMatMul / kElementwise material
-    std::deque<ActivationPair> acts;   // kActivation material
-    std::deque<LayerPair> layers;      // kLayer material
-    std::size_t reserved = 0;          // announced, not yet acquired demand
+    // Both parties' halves of the pooled entries, all of the spec's kind.
+    TripletStore s0, s1;
+    std::size_t reserved = 0;          // announced, not yet served demand
     bool refill_pending = false;       // below target, producer owed a pass
     bool task_live = false;            // a producer task currently owns it
   };
 
-  static std::size_t pool_depth(const Pool& p) {
-    return p.pairs.size() + p.acts.size() + p.layers.size();
-  }
+  static std::size_t pool_depth(const Pool& p) { return p.s0.size(); }
   std::size_t refill_target(const Pool& p) const {
     return opts_.high_watermark + p.reserved;
   }
 
-  // The typed pops behind acquire* / try_acquire*; `queue` is the pool's
-  // deque for the spec's kind.
-  template <class Pair>
-  Pair acquire_from(std::deque<Pair> Pool::*queue, const TripletSpec& spec,
-                    net::Deadline deadline) PSML_BLOCKING;
-  template <class Pair>
-  std::optional<Pair> try_acquire_from(std::deque<Pair> Pool::*queue,
-                                       const TripletSpec& spec);
+  // Moves one entry of `spec` into st0/st1, blocking while its pool is
+  // empty (fill_stores' per-spec step).
+  void serve(const TripletSpec& spec, TripletStore& st0, TripletStore& st1,
+             net::Deadline deadline) PSML_BLOCKING;
 
   // Trigger decision; returns true when the caller (outside the lock) must
   // submit a producer task for `spec`.

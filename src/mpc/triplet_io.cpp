@@ -78,9 +78,16 @@ void put_matrix(std::vector<std::uint8_t>& out, const MatrixF& m) {
   std::memcpy(out.data() + base, plain.data(), plain.bytes());
 }
 
-MatrixF get_matrix(Reader& r) {
+using Shape = std::pair<std::size_t, std::size_t>;
+
+// `want`, when set, is the shape the matrix must have; its header is
+// checked against it before anything is read or allocated.
+MatrixF get_matrix(Reader& r, const Shape* want) {
   const std::uint32_t rows = r.u32();
   const std::uint32_t cols = r.u32();
+  if (want != nullptr && (rows != want->first || cols != want->second)) {
+    throw IOError("triplet_io: pool entry shape differs from its spec");
+  }
   // Check the claimed size against the bytes left before allocating: a
   // corrupt header must fail typed, not as a huge allocation.
   const std::uint64_t floats = std::uint64_t{rows} * cols;
@@ -102,15 +109,43 @@ void put_kind(std::vector<std::uint8_t>& out, const std::deque<Share>& q) {
   }
 }
 
+// Reads one kind's material into `q`. With a `want` spec (a pool file's
+// half), only entries of want's kind and shapes are accepted.
 template <class Share>
-void get_kind(Reader& r, TripletStore& store,
-              void (TripletStore::*push)(Share)) {
+void get_kind(Reader& r, TripletKind kind, std::deque<Share>& q,
+              const TripletSpec* want) {
   const std::uint32_t n = r.u32();
+  std::vector<Shape> shapes;
+  if (want != nullptr && n != 0) {
+    if (kind != want->kind) {
+      throw IOError("triplet_io: pool file holds material of another kind");
+    }
+    shapes = material_shapes(*want);
+  }
   for (std::uint32_t i = 0; i < n; ++i) {
     Share share;
-    for_each_matrix(share, [&r](MatrixF& m) { m = get_matrix(r); });
-    (store.*push)(std::move(share));
+    std::size_t at = 0;
+    for_each_matrix(share, [&](MatrixF& m) {
+      m = get_matrix(r, shapes.empty() ? nullptr : &shapes.at(at++));
+    });
+    q.push_back(std::move(share));
   }
+}
+
+TripletStore decode_checked(const std::vector<std::uint8_t>& bytes,
+                            const TripletSpec* want) {
+  Reader r(bytes);
+  if (r.u32() != kStoreLayout) {
+    throw IOError("triplet_io: store payload of an unknown layout");
+  }
+  TripletStore store;
+  TripletStore::for_each_queue([&](TripletKind kind, auto queue) {
+    get_kind(r, kind, store.*queue, want);
+  });
+  if (!r.done()) {
+    throw IOError("triplet_io: trailing bytes after store payload");
+  }
+  return store;
 }
 
 }  // namespace
@@ -118,27 +153,13 @@ void get_kind(Reader& r, TripletStore& store,
 std::vector<std::uint8_t> encode_store(const TripletStore& store) {
   std::vector<std::uint8_t> out;
   put_u32(out, kStoreLayout);
-  put_kind(out, store.matmuls());
-  put_kind(out, store.elementwises());
-  put_kind(out, store.activations());
-  put_kind(out, store.layers());
+  TripletStore::for_each_queue(
+      [&](TripletKind, auto queue) { put_kind(out, store.*queue); });
   return out;
 }
 
 TripletStore decode_store(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  if (r.u32() != kStoreLayout) {
-    throw IOError("triplet_io: store payload of an unknown layout");
-  }
-  TripletStore store;
-  get_kind(r, store, &TripletStore::push_matmul);
-  get_kind(r, store, &TripletStore::push_elementwise);
-  get_kind(r, store, &TripletStore::push_activation);
-  get_kind(r, store, &TripletStore::push_layer);
-  if (!r.done()) {
-    throw IOError("triplet_io: trailing bytes after store payload");
-  }
-  return store;
+  return decode_checked(bytes, nullptr);
 }
 
 void save_store(const std::string& path, const TripletStore& store) {
@@ -178,35 +199,38 @@ PoolFile load_pool_file(const std::string& path) {
   const durable::Section& spec_s =
       durable::find_section(sections, kPoolSpecSection, "pool spec");
   Reader r(spec_s.payload);
-  PoolFile out;
+  // The spec and the kind count are section framing, public by
+  // construction.
+  PSML_PUBLIC const std::size_t kinds = TripletStore::kinds();
   const std::uint32_t kind = r.u32();
-  if (kind > static_cast<std::uint32_t>(TripletKind::kLayer)) {
+  if (kind >= kinds) {
     throw IOError("triplet_io: pool file carries unknown triplet kind");
   }
-  out.spec.kind = static_cast<TripletKind>(kind);
-  out.spec.m = r.u32();
-  out.spec.k = r.u32();
-  out.spec.n = r.u32();
+  TripletSpec spec;
+  spec.kind = static_cast<TripletKind>(kind);
+  spec.m = r.u32();
+  spec.k = r.u32();
+  spec.n = r.u32();
   if (!r.done()) {
     throw IOError("triplet_io: trailing bytes after pool spec");
   }
-  out.s0 = decode_store(
+  // Each half may hold only the spec's kind and shapes, checked as the
+  // decoder reads each count and matrix header.
+  PoolFile out;
+  out.spec = spec;
+  out.s0 = decode_checked(
       durable::find_section(sections, kPoolParty0Section, "pool party 0")
-          .payload);
-  out.s1 = decode_store(
+          .payload,
+      &spec);
+  out.s1 = decode_checked(
       durable::find_section(sections, kPoolParty1Section, "pool party 1")
-          .payload);
+          .payload,
+      &spec);
   // Counts are structural metadata (public by construction — they already
   // appear in the section framing), not secret material.
-  PSML_PUBLIC const std::size_t mm0 = out.s0.matmul_size();
-  PSML_PUBLIC const std::size_t mm1 = out.s1.matmul_size();
-  PSML_PUBLIC const std::size_t el0 = out.s0.elementwise_size();
-  PSML_PUBLIC const std::size_t el1 = out.s1.elementwise_size();
-  PSML_PUBLIC const std::size_t ac0 = out.s0.activation_size();
-  PSML_PUBLIC const std::size_t ac1 = out.s1.activation_size();
-  PSML_PUBLIC const std::size_t ly0 = out.s0.layer_size();
-  PSML_PUBLIC const std::size_t ly1 = out.s1.layer_size();
-  if (mm0 != mm1 || el0 != el1 || ac0 != ac1 || ly0 != ly1) {
+  PSML_PUBLIC const std::size_t n0 = out.s0.size();
+  PSML_PUBLIC const std::size_t n1 = out.s1.size();
+  if (n0 != n1) {
     throw IOError("triplet_io: pool file halves do not pair up");
   }
   return out;

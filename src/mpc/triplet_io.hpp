@@ -60,10 +60,11 @@ TripletStore load_store(const std::string& path);
 // per-party store files, a pool file contains complete triplets and must
 // stay on the dealer host (documented in docs/ANALYSIS.md §11).
 //
-// load_pool_file throws IOError on any torn/missing/corrupt input and
-// additionally verifies that the two halves pair up (equal counts per
-// kind); pool material is regenerable, so factory restart treats a bad file
-// as a skip-and-regenerate, never a crash.
+// load_pool_file throws IOError on any torn/missing/corrupt input, and when
+// the file does not hold its spec's material: a half holding another kind,
+// an entry whose shapes differ from the spec's, or halves of unequal
+// counts. Pool material is regenerable, so factory restart treats a bad
+// file as a skip-and-regenerate, never a crash.
 struct PoolFile {
   TripletSpec spec;
   TripletStore s0, s1;

@@ -4,10 +4,8 @@
 #include <thread>
 #include <tuple>
 
-#include "common/env.hpp"
 #include "common/taint.hpp"
 #include "common/timer.hpp"
-#include "mpc/triplet_factory.hpp"
 #include "ml/checkpoint.hpp"
 #include "net/local_channel.hpp"
 #include "parsecureml/store_transfer.hpp"
@@ -203,21 +201,10 @@ RunResult run_secure(const RunConfig& cfg, bool training) {
   const std::vector<mpc::TripletSpec> plan = ml::epoch_plan(
       pair.m0, n_batches, batch, loss_kind, mc.output_dim(), training);
 
-  const bool use_factory =
-      cfg.use_triplet_factory || env_bool("PSML_TRIPLET_FACTORY", false);
   mpc::TripletStore st0, st1;
   Timer gen_timer;
-  if (use_factory) {
-    // Pooled offline phase: announce the whole plan, then drain it. On a
-    // warm pool this is pure deque moves; the background factory absorbs
-    // the Z = U x V cost off the run's critical path.
-    mpc::TripletFactory& factory = mpc::TripletFactory::global();
-    factory.reserve(plan);
-    factory.fill_stores(plan, st0, st1);
-  } else {
-    mpc::TripletDealer dealer(device, dopts);
-    std::tie(st0, st1) = dealer.generate(plan);
-  }
+  mpc::TripletDealer dealer(device, dopts);
+  std::tie(st0, st1) = dealer.generate(plan);
   auto x_shares = mpc::share_float(ds.x, cfg.seed ^ 0x11);
   auto y_shares = mpc::share_float(ds.y, cfg.seed ^ 0x22);
   result.offline_generate_sec = gen_timer.seconds();

@@ -51,11 +51,6 @@ struct RunConfig {
   // When non-empty and training with evaluate on, the reconstructed model is
   // checkpointed here (ml/checkpoint.hpp format).
   std::string checkpoint_path;
-  // Source offline material from the process-wide background TripletFactory
-  // (mpc/triplet_factory.hpp) instead of an inline dealer run. With a warm
-  // pool the generate phase collapses to pool pops; a cold pool degrades to
-  // waiting on the producers. Also enabled by PSML_TRIPLET_FACTORY=1.
-  bool use_triplet_factory = false;
 };
 
 struct RunResult {

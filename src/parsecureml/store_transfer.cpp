@@ -14,13 +14,6 @@ namespace {
 constexpr net::Tag kStoreHeader = mpc::tags::kControl + 0x100;
 constexpr net::Tag kStoreMatrix = mpc::tags::kControl + 0x101;
 
-struct StoreHeader {
-  std::uint32_t n_matmul;
-  std::uint32_t n_elem;
-  std::uint32_t n_act;
-  std::uint32_t n_layer;
-};
-
 // declassify(): this is the client handing server i its *own* share of the
 // offline material — the one party entitled to exactly these words. The
 // other server's share never crosses this channel, so the additive masking
@@ -40,47 +33,45 @@ void send_kind(net::Channel& ch, const std::deque<Share>& q) {
 }
 
 template <class Share>
-void recv_kind(net::Channel& ch, std::uint32_t n, mpc::TripletStore& store,
-               void (mpc::TripletStore::*push)(Share)) {
+void recv_kind(net::Channel& ch, std::uint32_t n, std::deque<Share>& q) {
   for (std::uint32_t i = 0; i < n; ++i) {
     Share share;
     mpc::for_each_matrix(share, [&ch](MatrixF& m) {
       m = net::recv_matrix_f32(ch, kStoreMatrix);
     });
-    (store.*push)(std::move(share));
+    q.push_back(std::move(share));
   }
 }
 
 }  // namespace
 
+// The header carries one u32 entry count per kind, in for_each_queue order.
 void send_store(net::Channel& ch, const mpc::TripletStore& store) {
-  const StoreHeader h{static_cast<std::uint32_t>(store.matmuls().size()),
-                      static_cast<std::uint32_t>(store.elementwises().size()),
-                      static_cast<std::uint32_t>(store.activations().size()),
-                      static_cast<std::uint32_t>(store.layers().size())};
-  std::vector<std::uint8_t> buf(sizeof(h));
-  std::memcpy(buf.data(), &h, sizeof(h));
+  std::vector<std::uint32_t> counts;
+  mpc::TripletStore::for_each_queue([&](mpc::TripletKind, auto queue) {
+    counts.push_back(static_cast<std::uint32_t>((store.*queue).size()));
+  });
+  std::vector<std::uint8_t> buf(counts.size() * sizeof(std::uint32_t));
+  std::memcpy(buf.data(), counts.data(), buf.size());
   ch.send(kStoreHeader, buf);
 
-  send_kind(ch, store.matmuls());
-  send_kind(ch, store.elementwises());
-  send_kind(ch, store.activations());
-  send_kind(ch, store.layers());
+  mpc::TripletStore::for_each_queue(
+      [&](mpc::TripletKind, auto queue) { send_kind(ch, store.*queue); });
 }
 
 mpc::TripletStore recv_store(net::Channel& ch) {
   const net::Message msg = ch.recv(kStoreHeader);
-  if (msg.payload.size() != sizeof(StoreHeader)) {
+  std::vector<std::uint32_t> counts(mpc::TripletStore::kinds());
+  if (msg.payload.size() != counts.size() * sizeof(std::uint32_t)) {
     throw ProtocolError("recv_store: bad header size");
   }
-  StoreHeader h;
-  std::memcpy(&h, msg.payload.data(), sizeof(h));
+  std::memcpy(counts.data(), msg.payload.data(), msg.payload.size());
 
   mpc::TripletStore store;
-  recv_kind(ch, h.n_matmul, store, &mpc::TripletStore::push_matmul);
-  recv_kind(ch, h.n_elem, store, &mpc::TripletStore::push_elementwise);
-  recv_kind(ch, h.n_act, store, &mpc::TripletStore::push_activation);
-  recv_kind(ch, h.n_layer, store, &mpc::TripletStore::push_layer);
+  std::size_t at = 0;
+  mpc::TripletStore::for_each_queue([&](mpc::TripletKind, auto queue) {
+    recv_kind(ch, counts[at++], store.*queue);
+  });
   return store;
 }
 

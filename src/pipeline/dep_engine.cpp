@@ -20,13 +20,12 @@ struct OpNode {
   const char* name = "op";
   std::uint64_t seq = 0;
   std::size_t pending = 0;
-  // Completion handoff count for cross-thread dispatch (kLane/kStream): the
-  // executor's side and the dispatcher's return from the handoff call each
+  // Completion handoff count for stream dispatch (kStream): the stream's
+  // completion marker and the dispatcher's return from enqueue() each
   // decrement once, and whoever reaches zero runs complete(). This keeps the
-  // op outstanding until the dispatcher is out of lane_.submit()/enqueue() —
-  // without it, wait_all() could return (and the caller destroy the Stream
-  // or the engine its lane) while the dispatching thread is still inside the
-  // executor's condvar signal.
+  // op outstanding until the dispatcher is out of enqueue() — without it,
+  // wait_all() could return (and the caller destroy the Stream) while the
+  // dispatching thread is still inside the stream's condvar signal.
   std::atomic<int> phase{1};
 };
 
@@ -34,12 +33,10 @@ namespace {
 bool by_push_order(const OpNode* a, const OpNode* b) { return a->seq < b->seq; }
 }  // namespace
 
-DepEngine::DepEngine() { comm_var_ = new_var("engine.comm"); }
-
 DepEngine::~DepEngine() {
-  // Finish (or cancel-drain) everything in flight before the lane joins;
-  // stream completion markers all fire inside drain()'s wait, so no op can
-  // touch the engine after this.
+  // Finish (or cancel-drain) everything in flight; stream completion
+  // markers all fire inside drain()'s wait, so no op can touch the engine
+  // after this.
   drain();
   {
     sync::MutexLock lock(mutex_);
@@ -221,16 +218,6 @@ void DepEngine::dispatch_all(std::vector<OpNode*> ready) {
     OpNode* n = work.front();
     work.pop_front();
     switch (n->where.kind) {
-      case Exec::Kind::kLane: {
-        n->phase.store(2, std::memory_order_relaxed);
-        // Completion flows through finish(), never through the future.
-        (void)lane_.submit([this, n] {
-          execute(n);
-          finish(n);
-        });
-        finish(n);
-        break;
-      }
       case Exec::Kind::kStream: {
         // The body enqueues async device work; the marker behind it fires
         // when the stream has executed all of it, completing the op (the

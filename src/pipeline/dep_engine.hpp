@@ -3,20 +3,20 @@
 // Ops (see op.hpp) declare read/write sets over Vars; the engine tracks a
 // FIFO waiter queue per var and dispatches an op the moment every var it
 // names has been granted (concurrent readers, exclusive writers — the
-// mxnet engine discipline). Executors: the calling thread (kInline), an
-// engine-owned one-worker ThreadPool for blocking comm work (kLane), and
+// mxnet engine discipline). Executors: the calling thread (kInline) and
 // sgpu Streams for device work (kStream — the body enqueues async
 // copies/kernels and the engine plants a completion marker behind them, so
 // cross-stream ordering that used to be hand-rolled with Events now falls
-// out of the var graph).
+// out of the var graph). The engine owns no thread of its own.
 //
 // Determinism contract: ops enter every var queue atomically at push(), in
 // program order, so conflicting ops are totally ordered by push order and
-// non-conflicting ops commute. Channel ops additionally write comm_var(),
-// which chains them exclusively in program order — both servers push the
-// same op sequence (SPMD), hence their message sequences stay aligned no
-// matter how the executors interleave. Tags/keys are computed at push time
-// on the pushing thread, never inside op bodies racing each other.
+// non-conflicting ops commute. Both servers push the same op sequence
+// (SPMD), so each reaches the same results whatever the executors'
+// interleaving; no op sends or receives — the layers open every operand on
+// the training thread, so wire order is program order. Tags/keys are
+// computed at push time on the pushing thread, never inside op bodies
+// racing each other.
 //
 // Failure contract: the first op body that throws stores its exception and
 // flips the engine into cancelling mode — every not-yet-run op is skipped
@@ -40,14 +40,13 @@
 #include <vector>
 
 #include "common/sync_annot.hpp"
-#include "common/thread_pool.hpp"
 #include "pipeline/op.hpp"
 
 namespace psml::pipeline {
 
 class DepEngine {
  public:
-  DepEngine();
+  DepEngine() = default;
   ~DepEngine();
 
   DepEngine(const DepEngine&) = delete;
@@ -56,12 +55,6 @@ class DepEngine {
   // Creates a fresh variable. `name` must be a string literal (stored by
   // pointer, for diagnostics only). Cheap; layers mint new vars per batch.
   VarHandle new_var(const char* name);
-
-  // The engine-wide channel-order variable. Every op that sends or receives
-  // on the party's peer channel must list it in `writes`; the resulting
-  // exclusive FIFO chain serializes those ops in push order (see the
-  // determinism contract above).
-  const VarHandle& comm_var() const { return comm_var_; }
 
   // Schedules an op. Grants vars in declaration order under one lock (the
   // whole op enters every queue atomically), dispatches immediately when
@@ -117,11 +110,11 @@ class DepEngine {
   // Releases the op's grants, runs the FIFO grant loop on each var, and
   // returns the newly-ready ops sorted by push order. Frees `n`.
   std::vector<OpNode*> complete(OpNode* n) PSML_EXCLUDES(mutex_);
-  // Two-phase completion for cross-thread dispatch: the executor side and
-  // the dispatcher's return each call this once; the second call runs
+  // Two-phase completion for stream dispatch: the stream's marker and the
+  // dispatcher's return each call this once; the second call runs
   // complete() + successor dispatch. Guarantees the op stays outstanding
-  // until the dispatcher has left the executor's handoff call (so wait_all()
-  // returning means no engine thread still touches a Stream or the lane).
+  // until the dispatcher has left the stream's enqueue (so wait_all()
+  // returning means no engine caller still touches a Stream).
   void finish(OpNode* n);
   void release_var(const VarHandle& v, bool was_write,
                    std::vector<OpNode*>& ready) PSML_REQUIRES(mutex_);
@@ -141,14 +134,6 @@ class DepEngine {
   // Fast cancelling-mode check for executors (mutex-free read on the hot
   // path; the authoritative error_ is mutex-guarded).
   std::atomic<bool> failed_{false};
-
-  VarHandle comm_var_;
-  // Single-worker executor for kLane ops (reconstruct/open: CPU + network).
-  // One worker keeps blocking comm work off the pushing thread and the
-  // device streams; ordering across lane ops is still the var graph's job
-  // (comm ops chain through comm_var()). The engine tracks completion
-  // itself, so it discards the pool's futures.
-  ThreadPool lane_{1};
 };
 
 }  // namespace psml::pipeline

@@ -4,7 +4,7 @@
 // with GPU kernels and a layer's reconstruct with neighbouring layers' GPU
 // ops. Instead of hand-sequencing that overlap per call site, operations
 // declare *read* and *write* sets over versioned variables (device buffers,
-// opened operands, the per-engine channel-order slot) and the engine runs
+// opened operands) and the engine runs
 // anything whose dependencies are satisfied — mxnet-style. A variable is
 // pure identity: its scheduling state lives inside the engine, keyed by the
 // handle, so a Var can be created and dropped freely by layer code.
@@ -44,21 +44,17 @@ using VarHandle = std::shared_ptr<Var>;
 //   kInline — the thread that made the op ready (the pushing thread, or the
 //             thread that completed its last dependency). For CPU work that
 //             is cheap or already parallel inside (packed GEMM).
-//   kLane   — the engine's comm lane (a one-worker psml::ThreadPool):
-//             ordered, off-thread, may block. No library op uses it since
-//             the layers open every operand on the training thread.
 //   kStream — the body runs inline but *enqueues* async device work on the
 //             given sgpu::Stream; the op completes when the stream reaches
 //             the end of that work (the engine plants a completion marker).
-//             H2D/D2H copies and kernels.
+//             H2D/D2H copies and kernels; the engine's only off-thread work.
 struct Exec {
-  enum class Kind { kInline, kLane, kStream };
+  enum class Kind { kInline, kStream };
 
   Kind kind = Kind::kInline;
   sgpu::Stream* stream = nullptr;  // kStream only
 
   static Exec inline_thread() { return {Kind::kInline, nullptr}; }
-  static Exec lane() { return {Kind::kLane, nullptr}; }
   static Exec on_stream(sgpu::Stream& s) { return {Kind::kStream, &s}; }
 };
 

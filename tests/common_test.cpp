@@ -115,8 +115,7 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 }
 
 TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
-  // The dependency engine's comm lane is a one-worker pool: its tasks run
-  // FIFO, one at a time.
+  // A one-worker pool runs its tasks FIFO, one at a time.
   ThreadPool pool(1);
   std::vector<int> order;
   std::vector<std::future<void>> futs;
@@ -274,7 +273,6 @@ TEST(Env, ParsesAndFallsBack) {
   EXPECT_EQ(env_size_t("PSML_TEST_BAD", 7), 7u);
   ::setenv("PSML_TEST_DBL", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("PSML_TEST_DBL", 1.0), 2.5);
-  EXPECT_EQ(env_string("PSML_TEST_MISSING", "dflt"), "dflt");
 }
 
 TEST(Error, CheckMacroThrows) {

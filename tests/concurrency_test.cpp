@@ -92,6 +92,7 @@ TEST(ThreadPoolHammer, ConcurrentParallelForCallsOnOnePool) {
 TEST(DepEngineHammer, DrainRacingPushNeverLosesOps) {
   // Barriers racing pushers: every op pushed is run exactly once, however
   // the drains interleave, and a barrier after the pushers join covers all.
+  sgpu::Stream stream;
   pipeline::DepEngine eng;
   std::atomic<int> ran{0};
   std::atomic<bool> go{true};
@@ -100,8 +101,9 @@ TEST(DepEngineHammer, DrainRacingPushNeverLosesOps) {
     producers.emplace_back([&] {
       auto v = eng.new_var("chain");
       for (int i = 0; i < 300; ++i) {
-        eng.push([&] { ran.fetch_add(1); }, {}, {v}, pipeline::Exec::lane(),
-                 "n");
+        // The op's work runs on the stream's worker thread.
+        eng.push([&] { stream.enqueue([&] { ran.fetch_add(1); }); }, {}, {v},
+                 pipeline::Exec::on_stream(stream), "n");
       }
     });
   }

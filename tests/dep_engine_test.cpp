@@ -1,13 +1,15 @@
 // DepEngine (dependency-graph scheduler) tests. The contracts under test are
 // the ones ANALYSIS.md §12 argues for: conflicting ops run in push order
-// (determinism), comm ops serialize through comm_var() in program order, a
-// throwing op fails the step with its own type without deadlocking the
-// graph, and the engine is reusable after wait_all()/drain() clear the
-// failure.
+// (determinism), a throwing op fails the step with its own type without
+// deadlocking the graph, and the engine is reusable after
+// wait_all()/drain() clear the failure. Off-thread work runs on sgpu
+// Streams: a kStream op's body enqueues it and the op completes when the
+// stream has run it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -20,6 +22,16 @@
 namespace psml::pipeline {
 namespace {
 
+// Pushes an op whose body enqueues `work` on `s`: the work runs on the
+// stream's worker thread, off the pushing thread, and the op completes once
+// the stream has run it.
+void push_on(DepEngine& eng, sgpu::Stream& s, std::function<void()> work,
+             std::vector<VarHandle> reads, std::vector<VarHandle> writes,
+             const char* name) {
+  eng.push([&s, work = std::move(work)] { s.enqueue(work); },
+           std::move(reads), std::move(writes), Exec::on_stream(s), name);
+}
+
 TEST(DepEngine, InlineOpRunsToCompletion) {
   DepEngine eng;
   int x = 0;
@@ -30,27 +42,31 @@ TEST(DepEngine, InlineOpRunsToCompletion) {
   EXPECT_EQ(eng.outstanding(), 0u);
 }
 
-TEST(DepEngine, LaneOpPublishesMoveOnlyResultThroughVar) {
-  // A lane op hands its result to the waiter through captured state; wait(v)
-  // publishes the write, and move-only values work.
+TEST(DepEngine, StreamOpPublishesMoveOnlyResultThroughVar) {
+  // Work on a stream hands its result to the waiter through captured state;
+  // wait(v) publishes the write, and move-only values work.
+  sgpu::Stream stream;
   DepEngine eng;
   std::unique_ptr<int> out;
   auto v = eng.new_var("out");
-  eng.push([&] { out = std::make_unique<int>(41 + 1); }, {}, {v},
-           Exec::lane(), "produce");
+  push_on(eng, stream, [&] { out = std::make_unique<int>(41 + 1); }, {}, {v},
+          "produce");
   eng.wait(v);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
 }
 
-TEST(DepEngine, LaneOpOverlapsWithPusher) {
-  // Lane work runs concurrently with the pushing thread: the elapsed time
-  // is close to max(lane, caller), not their sum.
+TEST(DepEngine, StreamOpOverlapsWithPusher) {
+  // Stream work runs concurrently with the pushing thread: the elapsed time
+  // is close to max(stream, caller), not their sum.
+  sgpu::Stream stream;
   DepEngine eng;
   auto v = eng.new_var("sleep");
   const auto t0 = std::chrono::steady_clock::now();
-  eng.push([] { std::this_thread::sleep_for(std::chrono::milliseconds(60)); },
-           {}, {v}, Exec::lane(), "sleep");
+  push_on(
+      eng, stream,
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(60)); }, {},
+      {v}, "sleep");
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   eng.wait_all();
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -59,18 +75,20 @@ TEST(DepEngine, LaneOpOverlapsWithPusher) {
             0.11);
 }
 
-TEST(DepEngine, DestructorDrainsInFlightLaneOps) {
+TEST(DepEngine, DestructorDrainsInFlightStreamOps) {
   std::atomic<int> done{0};
+  sgpu::Stream stream;  // outlives the engine, as a party's streams do
   {
     DepEngine eng;
     for (int i = 0; i < 5; ++i) {
       auto v = eng.new_var("v");
-      eng.push(
+      push_on(
+          eng, stream,
           [&] {
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
             done.fetch_add(1);
           },
-          {}, {v}, Exec::lane(), "slow");
+          {}, {v}, "slow");
     }
   }
   EXPECT_EQ(done.load(), 5);
@@ -79,18 +97,23 @@ TEST(DepEngine, DestructorDrainsInFlightLaneOps) {
 TEST(DepEngine, WritersOnOneVarRunInPushOrder) {
   // Conflicting ops are totally ordered by push order regardless of which
   // executor runs them — the core determinism property.
+  sgpu::Stream stream, side;
   DepEngine eng;
-  sgpu::Stream stream;
   auto v = eng.new_var("chain");
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
-    Exec where = i % 3 == 0   ? Exec::inline_thread()
-                 : i % 3 == 1 ? Exec::lane()
-                              : Exec::on_stream(stream);
     // `order` is protected by the exclusive write chain on `v`, not a mutex:
     // if two writers ever overlapped this test would be racy, and the tsan
-    // preset run would flag it.
-    eng.push([&order, i] { order.push_back(i); }, {}, {v}, where, "writer");
+    // preset run would flag it. Every third writer runs on the side
+    // stream's worker thread.
+    auto write = [&order, i] { order.push_back(i); };
+    if (i % 3 == 1) {
+      push_on(eng, side, write, {}, {v}, "writer");
+    } else {
+      eng.push(write, {}, {v},
+               i % 3 == 0 ? Exec::inline_thread() : Exec::on_stream(stream),
+               "writer");
+    }
   }
   eng.wait_all();
   ASSERT_EQ(order.size(), 64u);
@@ -100,13 +123,14 @@ TEST(DepEngine, WritersOnOneVarRunInPushOrder) {
 TEST(DepEngine, ReadersOverlapWritersExclude) {
   // write → two concurrent reads → write. Both readers must see the first
   // write's value; the second write must wait for both readers.
+  sgpu::Stream stream;
   DepEngine eng;
   auto v = eng.new_var("shared");
   int value = 0;
   std::atomic<int> readers_in{0};
   std::atomic<int> max_readers{0};
   int r0 = -1, r1 = -1;
-  eng.push([&] { value = 1; }, {}, {v}, Exec::lane(), "w0");
+  push_on(eng, stream, [&] { value = 1; }, {}, {v}, "w0");
   auto reader = [&](int* out) {
     return [&, out] {
       int in = readers_in.fetch_add(1) + 1;
@@ -120,15 +144,15 @@ TEST(DepEngine, ReadersOverlapWritersExclude) {
   };
   auto vr0 = eng.new_var("r0");
   auto vr1 = eng.new_var("r1");
-  eng.push(reader(&r0), {v}, {vr0}, Exec::lane(), "r0");
-  // A second executor so the two readers *can* overlap (the lane is a single
-  // FIFO worker); pushed from another thread, joined before w1 so the
-  // push-order contract keeps w1 strictly after both readers.
+  push_on(eng, stream, reader(&r0), {v}, {vr0}, "r0");
+  // A second executor so the two readers *can* overlap (the stream is a
+  // single FIFO worker); pushed from another thread, joined before w1 so
+  // the push-order contract keeps w1 strictly after both readers.
   std::thread t([&] {
     eng.push(reader(&r1), {v}, {vr1}, Exec::inline_thread(), "r1");
   });
   t.join();
-  eng.push([&] { value = 2; }, {}, {v}, Exec::lane(), "w1");
+  push_on(eng, stream, [&] { value = 2; }, {}, {v}, "w1");
   eng.wait_all();
   EXPECT_EQ(r0, 1);
   EXPECT_EQ(r1, 1);
@@ -139,42 +163,11 @@ TEST(DepEngine, ReadersOverlapWritersExclude) {
   EXPECT_GE(max_readers.load(), 1);
 }
 
-TEST(DepEngine, CommVarSerializesMessageSequence) {
-  // Ops writing comm_var() form one exclusive FIFO chain — the engine's
-  // stand-in for "program order on the wire". Two identical graphs must
-  // produce the identical sequence even though each op's *dependencies*
-  // complete on different threads at different times.
-  for (int run = 0; run < 2; ++run) {
-    DepEngine eng;
-    sgpu::Stream stream;
-    std::vector<int> wire;
-    std::vector<VarHandle> deps;
-    for (int i = 0; i < 16; ++i) {
-      auto d = eng.new_var("dep");
-      // Jittered producers on mixed executors.
-      Exec where = i % 2 == 0 ? Exec::lane() : Exec::on_stream(stream);
-      eng.push(
-          [i] {
-            std::this_thread::sleep_for(std::chrono::microseconds(50 * (16 - i)));
-          },
-          {}, {d}, where, "produce");
-      deps.push_back(d);
-    }
-    for (int i = 0; i < 16; ++i) {
-      eng.push([&wire, i] { wire.push_back(i); }, {deps[std::size_t(i)]},
-               {eng.comm_var()}, Exec::lane(), "send");
-    }
-    eng.wait_all();
-    ASSERT_EQ(wire.size(), 16u);
-    for (int i = 0; i < 16; ++i) EXPECT_EQ(wire[std::size_t(i)], i) << "run " << run;
-  }
-}
-
 TEST(DepEngine, DeterministicAcrossRuns) {
   // Same diamond-heavy graph twice → bit-identical numeric results.
   auto run_graph = [] {
+    sgpu::Stream stream, side;
     DepEngine eng;
-    sgpu::Stream stream;
     std::vector<double> cell(8, 0.0);
     std::vector<VarHandle> vars;
     for (int i = 0; i < 8; ++i) vars.push_back(eng.new_var("cell"));
@@ -182,11 +175,15 @@ TEST(DepEngine, DeterministicAcrossRuns) {
       const std::size_t a = std::size_t(step) % 8;
       const std::size_t b = std::size_t(step * 3 + 1) % 8;
       if (a == b) continue;
-      Exec where = step % 3 == 0   ? Exec::lane()
-                   : step % 3 == 1 ? Exec::on_stream(stream)
-                                   : Exec::inline_thread();
-      eng.push([&cell, a, b, step] { cell[b] += cell[a] * 1.5 + step; },
-               {vars[a]}, {vars[b]}, where, "axpy");
+      auto axpy = [&cell, a, b, step] { cell[b] += cell[a] * 1.5 + step; };
+      if (step % 3 == 0) {
+        push_on(eng, side, axpy, {vars[a]}, {vars[b]}, "axpy");
+      } else {
+        eng.push(axpy, {vars[a]}, {vars[b]},
+                 step % 3 == 1 ? Exec::on_stream(stream)
+                               : Exec::inline_thread(),
+                 "axpy");
+      }
     }
     eng.wait_all();
     return cell;
@@ -197,15 +194,18 @@ TEST(DepEngine, DeterministicAcrossRuns) {
 }
 
 TEST(DepEngine, ThrowingOpFailsStepTypedWithoutDeadlock) {
+  // Op bodies throw where they run (a stream op's body runs on the granting
+  // thread); downstream work is enqueued on the stream.
+  sgpu::Stream stream;
   DepEngine eng;
   auto v = eng.new_var("v");
   std::atomic<int> ran_after{0};
-  eng.push([] { throw NetworkError("peer went away"); }, {}, {v}, Exec::lane(),
-           "boom");
+  eng.push([] { throw NetworkError("peer went away"); }, {}, {v},
+           Exec::on_stream(stream), "boom");
   // Downstream ops must still *complete* (cancel-drain) even though their
   // bodies are skipped once the engine is failing.
   for (int i = 0; i < 8; ++i) {
-    eng.push([&] { ran_after.fetch_add(1); }, {v}, {}, Exec::lane(), "after");
+    push_on(eng, stream, [&] { ran_after.fetch_add(1); }, {v}, {}, "after");
   }
   EXPECT_THROW(eng.wait_all(), NetworkError);
   EXPECT_EQ(eng.outstanding(), 0u);
@@ -216,10 +216,13 @@ TEST(DepEngine, ThrowingOpFailsStepTypedWithoutDeadlock) {
 }
 
 TEST(DepEngine, FirstErrorWinsAndEngineIsReusable) {
+  sgpu::Stream stream;
   DepEngine eng;
   auto v = eng.new_var("v");
-  eng.push([] { throw ProtocolError("first"); }, {}, {v}, Exec::lane(), "e1");
-  eng.push([] { throw IOError("second"); }, {}, {v}, Exec::lane(), "e2");
+  eng.push([] { throw ProtocolError("first"); }, {}, {v},
+           Exec::on_stream(stream), "e1");
+  eng.push([] { throw IOError("second"); }, {}, {v}, Exec::on_stream(stream),
+           "e2");
   try {
     eng.wait_all();  // rethrows the FIRST stored error and clears it.
     FAIL() << "expected ProtocolError";
@@ -246,14 +249,15 @@ TEST(DepEngine, WaitOnVarRethrowsWithoutClearing) {
 TEST(DepEngine, DrainDiscardsError) {
   // The resilient-rollback primitive: flush the graph, swallow the stored
   // error (the caller already holds the original exception).
+  sgpu::Stream stream;
   DepEngine eng;
   auto v = eng.new_var("v");
-  eng.push([] { throw TimeoutError("recv deadline"); }, {}, {v}, Exec::lane(),
-           "e");
+  eng.push([] { throw TimeoutError("recv deadline"); }, {}, {v},
+           Exec::on_stream(stream), "e");
   eng.drain();
   EXPECT_FALSE(eng.failed());
   int x = 0;
-  eng.push([&] { x = 5; }, {}, {v}, Exec::lane(), "ok");
+  push_on(eng, stream, [&] { x = 5; }, {}, {v}, "ok");
   eng.wait_all();
   EXPECT_EQ(x, 5);
 }
@@ -316,12 +320,13 @@ TEST(DepEngine, ManyIndependentVarsGetSwept) {
 TEST(DepEngine, WaitAllFromConcurrentPushers) {
   // Two threads pushing disjoint chains while a third waits; exercises the
   // engine mutex + condvar under contention for the tsan preset.
+  sgpu::Stream stream;
   DepEngine eng;
   std::atomic<int> total{0};
   auto pusher = [&] {
     auto v = eng.new_var("chain");
     for (int i = 0; i < 200; ++i) {
-      eng.push([&] { total.fetch_add(1); }, {}, {v}, Exec::lane(), "n");
+      push_on(eng, stream, [&] { total.fetch_add(1); }, {}, {v}, "n");
     }
   };
   std::thread a(pusher), b(pusher);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/crash_point.hpp"
+#include "common/crc32.hpp"
 #include "common/durable_io.hpp"
 #include "common/error.hpp"
 #include "ml/checkpoint.hpp"
@@ -353,6 +354,46 @@ TEST(TripletIo, LayerPoolFileRoundTrip) {
   mpc::save_pool_file(path, spec, s0, s1);
   EXPECT_THROW(mpc::load_pool_file(path), IOError);
   durable::remove_file(path);
+}
+
+// One entry of `Share` whose matrices take `shapes` in for_each_matrix
+// order, filled with consecutive multiples of 1/4 from `next` (exact in
+// float, so the bytes depend on nothing but the layout).
+template <class Share>
+Share counted_share(
+    std::initializer_list<std::pair<std::size_t, std::size_t>> shapes,
+    float& next) {
+  Share share;
+  auto shape = shapes.begin();
+  mpc::for_each_matrix(share, [&](MatrixF& m) {
+    m = MatrixF(shape->first, shape->second);
+    ++shape;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m.data()[i] = next;
+      next += 0.25f;
+    }
+  });
+  return share;
+}
+
+TEST(TripletIo, StorePayloadLayoutIsPinned) {
+  // One entry of every kind. The payload's size and CRC pin the store
+  // layout that pool files, store files and resumable training read: a
+  // change here must say so (and bump the layout word).
+  float next = 0.0f;
+  mpc::TripletStore store;
+  store.push_matmul(
+      counted_share<mpc::TripletShare>({{2, 3}, {3, 2}, {2, 2}}, next));
+  store.push_elementwise(
+      counted_share<mpc::TripletShare>({{2, 2}, {2, 2}, {2, 2}}, next));
+  store.push_activation(counted_share<mpc::ActivationShare>(
+      {{1, 3}, {1, 3}, {1, 3}, {1, 3}, {1, 3}}, next));
+  store.push_layer(counted_share<mpc::LayerShare>(
+      {{2, 3}, {3, 1}, {2, 1}, {2, 1}, {3, 1}, {2, 3}}, next));
+  const std::vector<std::uint8_t> bytes = mpc::encode_store(store);
+  EXPECT_EQ(bytes.size(), 416u);
+  EXPECT_EQ(crc32_table(bytes.data(), bytes.size()), 0x91b34b42u);
+  expect_store_eq(store, mpc::decode_store(bytes));
 }
 
 TEST(TripletIo, EncodeDecodeRoundTrip) {

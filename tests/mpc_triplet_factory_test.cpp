@@ -1,7 +1,8 @@
 // TripletFactory tests: watermark refill exactness, concurrent
-// acquire/refill hammering, deadline-bounded starvation, persisted-pool
-// restart, and the warm-pool zero-inline-generation guarantee the pooled
-// offline phase exists to provide.
+// fill/refill hammering, deadline-bounded starvation, persisted-pool
+// restart (and the pool files it must skip), and the warm-pool
+// zero-inline-generation guarantee the pooled offline phase exists to
+// provide. Material leaves the factory only through fill_stores.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "ml/models.hpp"
 #include "ml/secure/secure_model.hpp"
 #include "mpc/triplet_factory.hpp"
+#include "mpc/triplet_io.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "test_util.hpp"
@@ -31,6 +33,15 @@ FactoryOptions cpu_opts(std::size_t low, std::size_t high,
   o.dealer.use_gpu = false;
   o.dealer.seed = seed;
   return o;
+}
+
+// Serves one entry of `spec` into fresh stores.
+std::pair<TripletStore, TripletStore> take_one(
+    TripletFactory& f, const TripletSpec& spec,
+    net::Deadline deadline = net::kNoDeadline) {
+  TripletStore st0, st1;
+  f.fill_stores({spec}, st0, st1, deadline);
+  return {std::move(st0), std::move(st1)};
 }
 
 // Poll until `pred` holds (background refills land asynchronously).
@@ -80,10 +91,10 @@ TEST(Factory, WatermarkRefillTriggersExactlyAtLowMark) {
   f.pause();
 
   ASSERT_EQ(f.metrics().refills_scheduled, 1u);  // the initial fill only
-  EXPECT_TRUE(f.try_acquire(spec).has_value());  // 4 -> 3
-  EXPECT_TRUE(f.try_acquire(spec).has_value());  // 3 -> 2 (== low: no refill)
+  (void)take_one(f, spec);  // 4 -> 3
+  (void)take_one(f, spec);  // 3 -> 2 (== low: no refill)
   EXPECT_EQ(f.metrics().refills_scheduled, 1u);
-  EXPECT_TRUE(f.try_acquire(spec).has_value());  // 2 -> 1 (< low: refill!)
+  (void)take_one(f, spec);  // 2 -> 1 (< low: refill!)
   EXPECT_EQ(f.metrics().refills_scheduled, 2u);
   EXPECT_EQ(f.depth(spec), 1u);  // paused: nothing generated yet
 
@@ -99,7 +110,7 @@ TEST(Factory, AcquireOnEmptyPoolHonorsDeadline) {
   f.register_spec(spec);
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_THROW(
-      f.acquire(spec, net::deadline_after(std::chrono::milliseconds(100))),
+      take_one(f, spec, net::deadline_after(std::chrono::milliseconds(100))),
       TimeoutError);
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_GE(waited, std::chrono::milliseconds(90));
@@ -117,7 +128,7 @@ TEST(Factory, StopUnblocksWaitingAcquire) {
   std::exception_ptr err;
   std::thread consumer([&] {
     try {
-      (void)f.acquire(spec);  // no deadline: blocks until stop()
+      (void)take_one(f, spec);  // no deadline: blocks until stop()
     } catch (...) {
       err = std::current_exception();
     }
@@ -143,12 +154,7 @@ TEST(Factory, ConcurrentAcquireRefillHammer) {
     consumers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const TripletSpec& spec = specs[(t + i) % specs.size()];
-        const auto deadline = net::deadline_after(std::chrono::seconds(60));
-        if (spec.kind == TripletKind::kActivation) {
-          (void)f.acquire_activation(spec, deadline);
-        } else {
-          (void)f.acquire(spec, deadline);
-        }
+        (void)take_one(f, spec, net::deadline_after(std::chrono::seconds(60)));
         got.fetch_add(1);
       }
     });
@@ -200,7 +206,8 @@ void expect_layer_algebra(const LayerShare& l0, const LayerShare& l1,
 
 TEST(Factory, FillStoresServesATrainingPlan) {
   // A training epoch plan: one kLayer per dense layer and one kActivation
-  // per activation, per batch, served from the typed pools in plan order.
+  // per activation, per batch, served from the per-spec pools in plan
+  // order.
   ml::ModelConfig mc;
   mc.kind = ml::ModelKind::kMlp;
   mc.input_dim = 20;
@@ -287,11 +294,12 @@ TEST(Factory, PersistedPoolRestartRoundTrip) {
   EXPECT_EQ(m.load_errors, 0u);
 
   // Restored material still satisfies the Beaver invariant pairwise.
-  auto pair = g.try_acquire(mm);
-  ASSERT_TRUE(pair.has_value());
-  const MatrixF u = reconstruct_float(pair->s0.u, pair->s1.u);
-  const MatrixF v = reconstruct_float(pair->s0.v, pair->s1.v);
-  const MatrixF z = reconstruct_float(pair->s0.z, pair->s1.z);
+  auto [st0, st1] = take_one(g, mm);
+  const TripletShare t0 = st0.pop_matmul();
+  const TripletShare t1 = st1.pop_matmul();
+  const MatrixF u = reconstruct_float(t0.u, t1.u);
+  const MatrixF v = reconstruct_float(t0.v, t1.v);
+  const MatrixF z = reconstruct_float(t0.z, t1.z);
   expect_near(z, tensor::matmul(u, v), 1e-2, "restored Z = U x V");
 }
 
@@ -319,9 +327,9 @@ TEST(Factory, PersistedLayerPoolRoundTrip) {
   EXPECT_EQ(g.depth(spec), saved);
   EXPECT_EQ(g.metrics().loaded, saved);
   EXPECT_EQ(g.metrics().load_errors, 0u);
-  const LayerPair pair = g.acquire_layer(spec);
-  expect_layer_algebra(pair.s0, pair.s1, "restored layer material");
-  EXPECT_THROW((void)g.acquire(spec), InvalidArgument);  // typed pops only
+  auto [st0, st1] = take_one(g, spec);
+  expect_layer_algebra(st0.pop_layer(), st1.pop_layer(),
+                       "restored layer material");
 }
 
 TEST(Factory, TornPoolFileIsSkippedAndCounted) {
@@ -373,6 +381,43 @@ TEST(Factory, OldLayoutPoolFileIsSkippedAndCounted) {
   EXPECT_EQ(m.load_errors, 1u);
   EXPECT_EQ(m.loaded, 0u);
   EXPECT_EQ(m.specs, 0u);
+}
+
+// A pool file of `spec` whose halves hold `material` instead of the spec's
+// own material; load must skip and count it, registering no pool.
+void expect_mismatched_pool_file_skipped(const std::string& dir,
+                                         const TripletSpec& spec,
+                                         const TripletSpec& material) {
+  durable::ensure_dir(dir);
+  for (const std::string& name : durable::list_dir(dir)) {
+    durable::remove_file(dir + "/" + name);
+  }
+  TripletDealer dealer(nullptr, {false, false, 916});
+  const auto [s0, s1] = dealer.generate({material, material});
+  save_pool_file(dir + "/pool_0_4x6x2.psmd", spec, s0, s1);
+
+  FactoryOptions opts = cpu_opts(1, 2, 1, 917);
+  opts.persist_dir = dir;
+  TripletFactory g(nullptr, opts);
+  const auto m = g.metrics();
+  EXPECT_EQ(m.load_errors, 1u);
+  EXPECT_EQ(m.loaded, 0u);
+  EXPECT_EQ(m.specs, 0u);
+  EXPECT_EQ(g.depth(spec), 0u);
+}
+
+TEST(Factory, PoolFileOfAnotherKindIsSkippedAndCounted) {
+  expect_mismatched_pool_file_skipped("/tmp/psml_factory_other_kind_test",
+                                      {TripletKind::kMatMul, 4, 6, 2},
+                                      {TripletKind::kActivation, 3, 0, 3});
+}
+
+TEST(Factory, PoolFileOfAnotherShapeIsSkippedAndCounted) {
+  // Served, such a file would hand fill_stores({kMatMul, 4, 6, 2}) a
+  // triplet with U 3x5 and V 5x7.
+  expect_mismatched_pool_file_skipped("/tmp/psml_factory_other_shape_test",
+                                      {TripletKind::kMatMul, 4, 6, 2},
+                                      {TripletKind::kMatMul, 3, 5, 7});
 }
 
 }  // namespace

@@ -83,6 +83,28 @@ TEST(SyncSelftest, DotGraphHasWitnessEdges) {
   fs::remove(dot);
 }
 
+TEST(SyncSelftest, LocalLambdaComposesNoSummary) {
+  // local_lambda.cpp calls a lambda named like a locking member with a lock
+  // held. The lambda's body takes no lock, so the graph keeps the member's
+  // own entries_mutex_ -> gate_ edge and gains no reverse edge (which would
+  // also close a lock-order cycle in the exact-match test).
+  const fs::path dot = temp_file("psml_selftest_sync_local.dot");
+  const ToolRun r =
+      run_tool(g_sync_bin + " --dot " + dot.string() + " " +
+               (g_fixtures / "sync" / "local_lambda.cpp").string());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::string graph = read_file(dot);
+  EXPECT_NE(graph.find("\"local_lambda:entries_mutex_\" -> "
+                       "\"local_lambda:gate_\""),
+            std::string::npos)
+      << graph;
+  EXPECT_EQ(graph.find("\"local_lambda:gate_\" -> "
+                       "\"local_lambda:entries_mutex_\""),
+            std::string::npos)
+      << graph;
+  fs::remove(dot);
+}
+
 TEST(SyncSelftest, AllowlistSuppressesAndMarksSarif) {
   const fs::path dir = g_fixtures / "sync";
   const fs::path allow = temp_file("psml_selftest_sync_allow.txt");

@@ -1007,9 +1007,8 @@ void FlowAnalysis::process(const Stmt& s) {
           const std::uint64_t sub_t = expr_taint(args[1]);
           if (sub_t & kSecret) {
             masked = true;
-            const std::string member = triplet_member(args[1]);
-            on_mask(out_root, s.line, !member.empty());
-            on_consume(member, out_root, s.line);
+            on_mask(out_root, s.line);
+            on_consume(triplet_member(args[1]), out_root, s.line);
           } else {
             rt = expr_taint(args[0]) | sub_t;
           }
@@ -1092,9 +1091,7 @@ void FlowAnalysis::handle_assignment(const Stmt& s, const std::string& lhs,
       if (end != std::string::npos) {
         const auto args = split_args(rhs.substr(open + 1, end - open - 2));
         if (args.size() >= 2 && (expr_taint(args[1]) & kSecret)) {
-          const std::string member = triplet_member(args[1]);
-          on_mask(lhs_last.empty() ? lhs_root : lhs_last, s.line,
-                  !member.empty());
+          on_mask(lhs_last.empty() ? lhs_root : lhs_last, s.line);
         }
       }
     }

@@ -174,8 +174,9 @@ class FlowAnalysis {
   virtual void on_block_close() {}
   virtual void after_stmts() {}
   virtual std::uint64_t implicit_taint() const { return 0; }
-  virtual void on_mask(const std::string& /*dest*/, std::size_t /*line*/,
-                       bool /*triplet*/) {}
+  // `dest` was masked by subtracting a secret (a triplet member or a
+  // PSML_SECRET mask share).
+  virtual void on_mask(const std::string& /*dest*/, std::size_t /*line*/) {}
   virtual void on_consume(const std::string& /*member*/,
                           const std::string& /*dest*/, std::size_t /*line*/) {}
 

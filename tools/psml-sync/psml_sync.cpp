@@ -707,6 +707,12 @@ class LocksetWalk {
         }
       }
 
+      // A call to a local lambda: its body is walked inline where it is
+      // declared, and a same-named project function is not the callee.
+      if (!method && qual.empty() && !global_qual && locals_.count(w)) {
+        continue;
+      }
+
       // Condition-variable waits: blocking, but the lock passed as the
       // first argument is sanctioned to be held across the wait.
       if (method && kWaits.count(w)) {
@@ -868,7 +874,22 @@ class LocksetWalk {
     }
   }
 
+  // `auto name = [...]` declares a local lambda; later calls to `name` in
+  // this function reach it, not a project function of the same name.
+  void scan_local_lambda(const std::string& t) {
+    const std::size_t p = find_token(t, "auto", 0);
+    if (p == npos) return;
+    std::size_t j = skip_spaces_fwd(t, p + 4);
+    const std::string name = j < t.size() ? ident_starting_at(t, j) : "";
+    if (name.empty()) return;
+    j = skip_spaces_fwd(t, j + name.size());
+    if (j >= t.size() || t[j] != '=') return;
+    j = skip_spaces_fwd(t, j + 1);
+    if (j < t.size() && t[j] == '[') locals_.insert(name);
+  }
+
   void process(const std::string& t, std::size_t line) {
+    scan_local_lambda(t);
     scan_raii(t, line);
     scan_manual(t, line);
     scan_calls(t, line);
@@ -884,6 +905,7 @@ class LocksetWalk {
   std::set<std::string> contract_;
   bool exempt_fn_ = false;
   std::vector<LockVar> vars_;
+  std::set<std::string> locals_;  // local lambda names (scan_local_lambda)
   int depth_ = 0;
   SyncSummary sum_;
 };

@@ -43,8 +43,8 @@
 //                           function that masks other operands
 //
 // A second, flow-order pass checks the Beaver protocol shape itself in any
-// function that masks with triplet members (.u/.v/.z, and a layer
-// material's .v2/.z_dw/.z_dx):
+// function that masks a value by subtracting a secret (a triplet member such
+// as .u/.v/.z, or a PSML_SECRET mask-share parameter):
 //   send-before-mask        a matrix is exchanged before (or without) being
 //                           masked, violating E_i = A_i - U_i before exchange
 //   triplet-double-consume  one triplet member feeds two distinct
@@ -257,11 +257,12 @@ class TaintAnalysis : public FlowAnalysis {
       }
     }
 
-    // Send / reconstruct events for the protocol-order pass.
-    collect_send_event(s, ".send");
-    collect_send_event(s, "send_matrix");
-    collect_send_event(s, "exchange");
-    collect_send_event(s, "exchange_u64");
+    // Send / reconstruct events for the protocol-order pass: the raw channel
+    // send plus every helper that puts its matrix arguments on the wire.
+    for (const char* send : {".send", "send_matrix", "send_pair", "exchange",
+                             "exchange_u64", "exchange_pair", "open_shares"}) {
+      collect_send_event(s, send);
+    }
     collect_reconstruct_event(s, "reconstruct_float");
     collect_reconstruct_event(s, "reconstruct_ring");
   }
@@ -414,11 +415,10 @@ class TaintAnalysis : public FlowAnalysis {
     }
   }
 
-  void on_mask(const std::string& dest, std::size_t line,
-               bool triplet) override {
+  void on_mask(const std::string& dest, std::size_t line) override {
     if (dest.empty()) return;
     if (!masked_.count(dest)) masked_[dest] = line;
-    if (triplet) triplet_mask_ = true;
+    masks_ = true;
   }
 
   void on_consume(const std::string& member, const std::string& dest,
@@ -428,7 +428,7 @@ class TaintAnalysis : public FlowAnalysis {
   }
 
   void after_stmts() override {
-    if (triplet_mask_) {
+    if (masks_) {
       for (const SendEvent& ev : sends_) {
         for (const std::string& r : ev.arg_roots) {
           if (r.empty()) continue;
@@ -456,7 +456,7 @@ class TaintAnalysis : public FlowAnalysis {
           if (matrix_typed && tainted && !pinned_.count(r)) {
             violate("send-before-mask", ev.line,
                     "'" + r +
-                        "' is exchanged without a triplet masking step in a "
+                        "' is exchanged without a masking step in a "
                         "function that masks other operands; every secret "
                         "operand must be blinded (E_i = A_i - U_i) first");
           }
@@ -521,7 +521,7 @@ class TaintAnalysis : public FlowAnalysis {
   std::vector<Violation>* report_;
 
   // protocol pass state
-  bool triplet_mask_ = false;
+  bool masks_ = false;  // a secret subtrahend masked some value here
   std::map<std::string, std::size_t> masked_;    // dest -> first mask line
   std::map<std::string, std::size_t> mask_src_;  // minuend -> first mask line
   std::map<std::string, std::vector<Consumption>> consume_;
